@@ -21,7 +21,7 @@ from pathlib import Path
 from random import Random
 
 from . import constructions, counting, estimators, geometry, hypercore, packing, randmodels
-from .errors import HamforgeError, InvalidParams
+from .errors import HamforgeError, InvalidParams, ParseError
 
 PRESETS = (
     "crown-lower-bound",
@@ -66,7 +66,11 @@ def _read_graph(path: str):
 
 def _read_family(path: str) -> packing.PartitionedFamily:
     with open(path) as fh:
-        return packing.PartitionedFamily.from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ParseError(f"{path}: malformed family JSON: {exc}") from None
+    return packing.PartitionedFamily.from_json_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +459,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("count", help="exact Hamiltonian cycle count of a graph file")
     p.add_argument("--in", required=True)
-    p.add_argument("--method", choices=["auto", "dp", "brute"], default="auto")
+    p.add_argument("--method", choices=["dp", "brute"], default="dp")
     p.add_argument("--out")
     p.set_defaults(func=cmd_count)
 

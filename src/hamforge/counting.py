@@ -2,8 +2,10 @@
 
 The exact counter anchors cycles at vertex 0 to kill rotations and divides by
 two for reversal, so all 2n symmetric traversals of one cycle collapse to a
-single count. Counts are exact integers throughout; the vectorized backend
-only operates in ranges where float64/int64 arithmetic is provably exact.
+single count. One vectorized subset DP counts at every n. Counts are exact
+integers throughout: the DP runs in float64 or int64 while a proven bound on
+its entries, (n-r)!, fits the type exactly, and on Python ints (numpy object
+arrays) beyond that.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,66 +79,38 @@ def brute_force_ham_count(graph: Hypergraph, limit: int = 10) -> CountResult:
     return CountResult(count=total // 2, method="brute_force")
 
 
-def _transition_sets(graph: Hypergraph) -> dict[tuple[int, ...], set[int]]:
-    """state tuple (t1..t_{r-1}) -> vertices v with sorted(state+{v}) an edge."""
-    out: dict[tuple[int, ...], set[int]] = {}
-    for edge in graph.edges:
-        for perm in itertools.permutations(edge):
-            out.setdefault(perm[:-1], set()).add(perm[-1])
-    return out
-
-
-def _dp_count_dict(graph: Hypergraph) -> int:
-    """Pure-python subset DP; arbitrary precision, no vectorization."""
-    n, r = graph.n, graph.r
-    trans = _transition_sets(graph)
-    edges = graph.edges
-    total = 0
-    prefix_pool = (
-        itertools.permutations(range(1, n), r - 2) if r > 2 else [()]
-    )
-    for mid in prefix_pool:
-        prefix = (0,) + tuple(mid)
-        start_mask = 0
-        for v in prefix:
-            start_mask |= 1 << v
-        layer = {(start_mask, prefix): 1}
-        for _ in range(n - (r - 1)):
-            nxt: dict[tuple[int, tuple[int, ...]], int] = {}
-            for (mask, state), cnt in layer.items():
-                for v in trans.get(state, ()):
-                    bit = 1 << v
-                    if mask & bit:
-                        continue
-                    key = (mask | bit, state[1:] + (v,))
-                    nxt[key] = nxt.get(key, 0) + cnt
-            layer = nxt
-        full = (1 << n) - 1
-        for (mask, state), cnt in layer.items():
-            if mask != full:
-                continue
-            closure = state + prefix
-            if all(
-                tuple(sorted(closure[h : h + r])) in edges for h in range(r - 1)
-            ):
-                total += cnt
-    return total
-
-
 @lru_cache(maxsize=8)
 def _mask_layers(nfree: int) -> tuple[np.ndarray, ...]:
     """Sorted bitmask arrays grouped by popcount, over nfree free slots."""
-    layers = []
-    for c in range(nfree + 1):
-        masks = np.sort(
-            np.array(
-                [sum(1 << i for i in combo) for combo in itertools.combinations(range(nfree), c)],
-                dtype=np.int64,
-            )
-        )
-        masks.setflags(write=False)
-        layers.append(masks)
-    return tuple(layers)
+    popcount = np.zeros(1, dtype=np.uint8)
+    for _ in range(nfree):
+        popcount = np.concatenate([popcount, popcount + 1])
+    # mask m sits at index m, so a stable argsort lists the masks grouped by
+    # popcount and in increasing order within each group
+    masks = np.argsort(popcount, kind="stable")
+    masks.setflags(write=False)
+    return tuple(np.split(masks, np.cumsum(np.bincount(popcount))[:-1]))
+
+
+def _dp_dtype(n: int, r: int):
+    """The cheapest dtype in which _dp_count_numpy is exact on n vertices.
+
+    Every DP entry is at most (n-r)!. With nfree = n-r+1 free vertices, an
+    entry of `cur` at layer c >= 1 counts orderings of its c masked vertices
+    that end at the frontier's fixed last vertex, so it is at most
+    (c-1)! <= (nfree-1)!; at layer 0 it is 0 or 1. An entry of the product
+    S2 at layer c <= nfree-1 counts orderings of its c masked vertices, at
+    most c! <= (nfree-1)!. Entries are non-negative, so every partial sum in
+    the matmul and the scatter obeys the same bound. float64 is exact up to
+    2^53 and int64 up to 2^63 - 1; past that, object arrays of Python ints
+    are exact at any size.
+    """
+    bound = math.factorial(n - r)
+    if bound < 2**53:
+        return np.float64
+    if bound < 2**63:
+        return np.int64
+    return object
 
 
 def _dp_count_numpy(graph: Hypergraph, dtype) -> int:
@@ -143,95 +118,106 @@ def _dp_count_numpy(graph: Hypergraph, dtype) -> int:
 
     DP arrays are laid out (tail, mask, t1) where the frontier state is the
     ordered tuple (t1, tail...) of the last r-1 placed vertices; this keeps
-    the per-layer contraction a contiguous batched matmul.
+    the per-layer contraction a contiguous batched matmul. Exact when `dtype`
+    is exact up to (n-r)!; see _dp_dtype.
     """
     n, r = graph.n, graph.r
+    tails = (n,) * (r - 2)  # a tail (t2..t_{r-1}) is stored as one base-n index
     tail_dim = n ** (r - 2)
-    rest_dim = n ** (r - 3) if r >= 3 else 0
 
-    # T[t1, tail, v] = 1 iff the window (t1, tail..., v) is an edge.
-    T = np.zeros((n, tail_dim, n), dtype=dtype)
+    # T2[tail, t1, v] = 1 iff the window (t1, tail..., v) is an edge.
+    T2 = np.zeros(tails + (n, n), dtype=dtype)
     for edge in graph.edges:
         for perm in itertools.permutations(edge):
-            tail = 0
-            for t in perm[1:-1]:
-                tail = tail * n + t
-            T[perm[0], tail, perm[-1]] = 1
-    T2 = np.ascontiguousarray(T.transpose(1, 0, 2))  # (tail, t1, v)
+            T2[perm[1:-1] + (perm[0], perm[-1])] = 1
+    T2 = T2.reshape(tail_dim, n, n)
 
     edges = graph.edges
     total = 0
-    prefix_pool = (
-        itertools.permutations(range(1, n), r - 2) if r > 2 else [()]
-    )
-    for mid in prefix_pool:
-        prefix = (0,) + tuple(mid)
+    for mid in itertools.permutations(range(1, n), r - 2):
+        prefix = (0,) + mid
         free = [v for v in range(n) if v not in prefix]
         nfree = len(free)
         layers = _mask_layers(nfree)
 
         cur = np.zeros((tail_dim, 1, n), dtype=dtype)
-        tail0 = 0
-        for t in prefix[1:]:
-            tail0 = tail0 * n + t
-        cur[tail0, 0, prefix[0]] = 1
+        cur[np.ravel_multi_index(mid, tails), 0, 0] = 1  # frontier (0, mid...)
 
         for c in range(nfree):
             masks = layers[c]
             nxt_masks = layers[c + 1]
-            nxt = np.zeros((tail_dim, len(nxt_masks), n), dtype=dtype)
             S2 = cur @ T2  # (tail, m, v)
+            # no other name or view holds the old layer, so it is freed here,
+            # before the new one is allocated: at most two layer-sized arrays
+            # are live at once
+            del cur
+            cur = np.zeros((tail_dim, len(nxt_masks), n), dtype=dtype)
             if r == 2:
                 for fi, v in enumerate(free):
                     sel = (masks >> fi) & 1 == 0
                     if sel.any():
                         rows = np.searchsorted(nxt_masks, masks[sel] | (1 << fi))
-                        nxt[0, rows, v] += S2[0, sel, v]
+                        cur[0, rows, v] += S2[0, sel, v]
             else:
                 # next state: t1' = tail[0], tail' = tail[1:] + (v,)
-                S4 = S2.reshape(n, rest_dim, len(masks), n)
-                nxt4 = nxt.reshape(rest_dim, n, len(nxt_masks), n)
+                S4 = S2.reshape(n, -1, len(masks), n)
+                cur4 = cur.reshape(-1, n, len(nxt_masks), n)
                 for fi, v in enumerate(free):
                     sel = (masks >> fi) & 1 == 0
                     if sel.any():
                         rows = np.searchsorted(nxt_masks, masks[sel] | (1 << fi))
-                        nxt4[:, v, rows, :] += S4[:, :, sel, v].transpose(1, 2, 0)
-            cur = nxt
+                        cur4[:, v, rows, :] += S4[:, :, sel, v].transpose(1, 2, 0)
+                del S4, cur4
+            del S2
 
         final = cur[:, 0, :]  # (tail, t1)
         for tail_idx, t1 in zip(*np.nonzero(final)):
             x = int(tail_idx)
             tail_vs = []
             for _ in range(r - 2):
-                tail_vs.append(x % n)
-                x //= n
-            tail_vs.reverse()
-            closure = (int(t1),) + tuple(tail_vs) + prefix
+                x, t = divmod(x, n)
+                tail_vs.append(t)
+            closure = (int(t1),) + tuple(reversed(tail_vs)) + prefix
             if all(
                 tuple(sorted(closure[h : h + r])) in edges for h in range(r - 1)
             ):
-                total += int(round(final[tail_idx, t1].item()))
+                total += int(final[tail_idx, t1])
     return total
 
 
-def _estimate_dp_bytes(n: int, r: int) -> int:
+def _estimate_dp_bytes(n: int, r: int, dtype) -> int:
+    """Upper bound on the bytes _dp_count_numpy(graph, dtype) holds at once.
+
+    Its widest layer holds two arrays of comb(nfree, nfree//2) masks by
+    n^(r-1) frontier states (the old layer and S2 during the matmul, S2 and
+    the new layer during the scatter), two scatter temporaries of n^(r-2) entries per mask,
+    and four int64 or bool mask-index arrays. The transition table holds n^r
+    entries; the mask table is 2^nfree int64s, and building it takes two
+    more. An object entry is a pointer to a Python int of at most (n-r)!.
+    64 KiB more covers array headers and small Python objects.
+    """
     nfree = n - (r - 1)
     peak_masks = math.comb(nfree, nfree // 2)
-    state_dim = n ** (r - 1)
-    return 2 * peak_masks * state_dim * 8 + (n**r) * 8
+    item = np.dtype(dtype).itemsize
+    if np.dtype(dtype) == object:
+        item += sys.getsizeof(math.factorial(n - r))
+    per_mask = (2 * n ** (r - 1) + 2 * n ** (r - 2)) * item + 4 * 8
+    return peak_masks * per_mask + n**r * item + 3 * 8 * 2**nfree + (1 << 16)
 
 
 def exact_ham_count(graph: Hypergraph, mem_gib: float | None = None) -> CountResult:
     """Exact Hamiltonian cycle count via subset DP with an ordered (r-1)-frontier.
 
-    Equals brute_force_ham_count on its whole domain. Raises ScaleLimit with a
-    state-count estimate when the DP would exceed the memory budget
-    (default 8 GiB; HAMFORGE_MEM_GIB overrides).
+    Equals brute_force_ham_count on its whole domain. One DP serves every n;
+    its dtype is the cheapest one that is exact for n (_dp_dtype). Raises
+    ScaleLimit with a state-count estimate when the DP would exceed the memory
+    budget (default 8 GiB; HAMFORGE_MEM_GIB overrides).
     """
     n, r = graph.n, graph.r
     if n < r + 2:
         raise DegenerateCycle(f"need n >= r+2 (got n={n}, r={r})")
-    need = _estimate_dp_bytes(n, r)
+    dtype = _dp_dtype(n, r)
+    need = _estimate_dp_bytes(n, r, dtype)
     budget = _mem_budget_bytes(mem_gib)
     if need > budget:
         raise ScaleLimit(
@@ -239,15 +225,7 @@ def exact_ham_count(graph: Hypergraph, mem_gib: float | None = None) -> CountRes
             f"(~{math.comb(n - r + 1, (n - r + 1) // 2) * n ** (r - 1):,} peak states), "
             f"budget is {budget / (1 << 30):.2f} GiB"
         )
-    if n < 13:
-        total = _dp_count_dict(graph)
-    elif n <= 18:
-        # every partial count is an integer below (n-2)! < 2^53: float64 is exact
-        total = _dp_count_numpy(graph, np.float64)
-    elif n <= 21:
-        total = _dp_count_numpy(graph, np.int64)
-    else:
-        total = _dp_count_dict(graph)
+    total = _dp_count_numpy(graph, dtype)
     assert total % 2 == 0
     return CountResult(count=total // 2, method="subset_dp")
 

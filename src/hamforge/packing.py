@@ -636,6 +636,16 @@ def write_packing(packing: Packing, stream: TextIO) -> None:
         stream.write(" ".join(map(str, e)) + "\n")
 
 
+def _read_vertices(stream: TextIO, lineno: int, n: int) -> tuple[int, ...]:
+    try:
+        vs = tuple(int(x) for x in stream.readline().split())
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-integer vertex") from None
+    if any(v < 0 or v >= n for v in vs):
+        raise ParseError(f"line {lineno}: vertex out of range [0,{n})")
+    return vs
+
+
 def read_packing(stream: TextIO) -> Packing:
     header = stream.readline().split()
     if len(header) != 6:
@@ -649,13 +659,13 @@ def read_packing(stream: TextIO) -> Packing:
     edge_sets = []
     for _ in range(K):
         lineno += 1
-        vs = tuple(int(x) for x in stream.readline().split())
+        vs = _read_vertices(stream, lineno, n)
         if len(vs) != q:
             raise ParseError(f"line {lineno}: element must list q = {q} vertices")
         edges = []
         for _ in range(z):
             lineno += 1
-            e = tuple(int(x) for x in stream.readline().split())
+            e = _read_vertices(stream, lineno, n)
             if len(e) != r:
                 raise ParseError(f"line {lineno}: edge must have r = {r} vertices")
             edges.append(e)

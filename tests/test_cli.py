@@ -32,6 +32,19 @@ def test_count_brute_method(tmp_path, capsys):
     assert out["count"] == "16" and out["method"] == "brute_force"
 
 
+def test_count_dp_method(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    run(["construct", "--kind", "turan", "--n", 6, "--k", 3, "--out", graph])
+    capsys.readouterr()
+    for extra in ([], ["--method", "dp"]):
+        assert run(["count", "--in", graph, *extra]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["count"] == "16" and out["method"] == "subset_dp"
+    with pytest.raises(SystemExit) as exc:
+        run(["count", "--in", graph, "--method", "auto"])
+    assert exc.value.code == 1
+
+
 def test_family_build_audit_estimate(tmp_path, capsys):
     design = tmp_path / "d.txt"
     fam = tmp_path / "fam.json"
@@ -118,3 +131,27 @@ def test_experiment_crown(tmp_path, capsys):
     report = json.loads((tmp_path / "crown-lower-bound-report.json").read_text())
     assert report["all_checks"] is True
     assert [row["n"] for row in report["rows"]] == [8, 10, 12]
+
+
+@pytest.mark.parametrize("vertex_line", ["0 1 x", "0 1 9"])
+def test_malformed_packing_exits_2(tmp_path, capsys, vertex_line):
+    # header n r q K k z, then one element: its vertex line and one edge
+    bad = tmp_path / "p.txt"
+    bad.write_text(f"6 3 3 1 2 1\n{vertex_line}\n0 1 2\nW 0\n")
+    assert run(["family", "--packing", bad, "--k", 2, "--seed", 1,
+                "--out", tmp_path / "f.json"]) == 2
+    err = capsys.readouterr().err
+    assert "ParseError" in err and "line 2" in err and "Traceback" not in err
+
+
+def test_truncated_family_json_exits_2(tmp_path, capsys):
+    design = tmp_path / "d.txt"
+    fam = tmp_path / "fam.json"
+    run(["steiner", "--q", 2, "--s", 4, "--out", design])
+    run(["family", "--design", design, "--k", 2, "--seed", 1, "--out", fam])
+    fam.write_text(fam.read_text()[:200])
+    capsys.readouterr()
+    assert run(["estimate", "--family", fam, "--p", "1/2", "--samples", 10,
+                "--seed", 5]) == 2
+    err = capsys.readouterr().err
+    assert "ParseError" in err and "Traceback" not in err

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from hamforge.counting import (
     permanent,
     permanent_brute_force,
     two_factor_profile,
-    _dp_count_dict,
     _dp_count_numpy,
+    _dp_dtype,
+    _estimate_dp_bytes,
 )
 from hamforge.errors import ScaleLimit
 from hamforge.hypercore import Hypergraph
@@ -27,6 +29,44 @@ from hamforge.hypercore import Hypergraph
 def random_hypergraph(n, r, p, rng):
     edges = [e for e in itertools.combinations(range(n), r) if rng.random() < p]
     return Hypergraph.from_edges(n, r, edges)
+
+
+def dict_dp_count(graph):
+    """Oracle: the anchored subset DP on Python dicts and ints, unvectorized.
+
+    Returns twice the cycle count, like _dp_count_numpy.
+    """
+    n, r = graph.n, graph.r
+    trans = {}  # frontier (t1..t_{r-1}) -> vertices v completing an edge
+    for edge in graph.edges:
+        for perm in itertools.permutations(edge):
+            trans.setdefault(perm[:-1], set()).add(perm[-1])
+    total = 0
+    prefix_pool = itertools.permutations(range(1, n), r - 2) if r > 2 else [()]
+    for mid in prefix_pool:
+        prefix = (0,) + tuple(mid)
+        start_mask = 0
+        for v in prefix:
+            start_mask |= 1 << v
+        layer = {(start_mask, prefix): 1}
+        for _ in range(n - (r - 1)):
+            nxt = {}
+            for (mask, state), cnt in layer.items():
+                for v in trans.get(state, ()):
+                    bit = 1 << v
+                    if mask & bit:
+                        continue
+                    key = (mask | bit, state[1:] + (v,))
+                    nxt[key] = nxt.get(key, 0) + cnt
+            layer = nxt
+        full = (1 << n) - 1
+        for (mask, state), cnt in layer.items():
+            closure = state + prefix
+            if mask == full and all(
+                tuple(sorted(closure[h : h + r])) in graph.edges for h in range(r - 1)
+            ):
+                total += cnt
+    return total
 
 
 def test_complete_graph_counts():
@@ -65,7 +105,33 @@ def test_numpy_backend_matches_dict_backend():
     rng = random.Random(5)
     for n, r, p in [(13, 2, 0.5), (13, 3, 0.35), (14, 3, 0.5)]:
         g = random_hypergraph(n, r, p, rng)
-        assert _dp_count_dict(g) == _dp_count_numpy(g, np.float64)
+        want = dict_dp_count(g)
+        for dtype in (np.float64, np.int64, object):
+            assert _dp_count_numpy(g, dtype) == want
+
+
+def test_dtype_boundary():
+    # (n-2)! for r=2: 18! < 2^53 < 19! < 2^63 < 21!
+    assert _dp_dtype(20, 2) is np.float64
+    assert _dp_dtype(21, 2) is np.int64
+    assert exact_ham_count(Hypergraph.complete(20, 2)).count == math.factorial(19) // 2
+    assert exact_ham_count(Hypergraph.complete(21, 2)).count == math.factorial(20) // 2
+    assert _dp_dtype(22, 2) is np.int64
+    assert _dp_dtype(23, 2) is object
+    assert _dp_dtype(24, 3) is object
+
+
+def test_memory_estimate_covers_traced_peak():
+    for n, r, dtype in [(12, 2, np.float64), (9, 3, np.int64), (10, 3, np.float64),
+                        (9, 4, np.float64), (11, 2, object)]:
+        g = Hypergraph.complete(n, r)
+        tracemalloc.start()
+        try:
+            _dp_count_numpy(g, dtype)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= _estimate_dp_bytes(n, r, dtype), (n, r, dtype, peak)
 
 
 def test_monotone_under_edge_addition():
