@@ -5,7 +5,6 @@ from .hypercore import (
     CanonicalCycle,
     CyclicWindowSet,
     Hypergraph,
-    VertexPermutation,
     canonicalize,
     read_hypergraph,
     window_set,

@@ -2,10 +2,11 @@
 
 The exact counter anchors cycles at vertex 0 to kill rotations and divides by
 two for reversal, so all 2n symmetric traversals of one cycle collapse to a
-single count. One vectorized subset DP counts at every n. Counts are exact
-integers throughout: the DP runs in float64 or int64 while a proven bound on
-its entries, (n-r)!, fits the type exactly, and on Python ints (numpy object
-arrays) beyond that.
+single count. One vectorized subset DP counts at every n and r; one
+transition table steps its frontier and closes the cycle. Counts are exact
+integers: the DP runs in float64 or int64 while a proven bound on its
+entries, (n-r)!, fits the type exactly, on Python ints (numpy object arrays)
+beyond that, and sums each closure in Python ints.
 """
 
 from __future__ import annotations
@@ -23,11 +24,22 @@ from .errors import DegenerateCycle, ScaleLimit
 from .hypercore import Hypergraph
 
 DEFAULT_MEM_GIB = 8.0
+MEMINFO = "/proc/meminfo"
+
+
+def _default_mem_gib() -> float:
+    """min(8 GiB, half of MemAvailable); 8 GiB where MEMINFO cannot be read."""
+    try:
+        with open(MEMINFO) as f:
+            kib = next(int(ln.split()[1]) for ln in f if ln.startswith("MemAvailable:"))
+    except (OSError, StopIteration):
+        return DEFAULT_MEM_GIB
+    return min(DEFAULT_MEM_GIB, kib / 2 / (1 << 20))
 
 
 def _mem_budget_bytes(mem_gib: float | None = None) -> int:
     if mem_gib is None:
-        mem_gib = float(os.environ.get("HAMFORGE_MEM_GIB", DEFAULT_MEM_GIB))
+        mem_gib = float(os.environ.get("HAMFORGE_MEM_GIB") or _default_mem_gib())
     return int(mem_gib * (1 << 30))
 
 
@@ -95,15 +107,16 @@ def _mask_layers(nfree: int) -> tuple[np.ndarray, ...]:
 def _dp_dtype(n: int, r: int):
     """The cheapest dtype in which _dp_count_numpy is exact on n vertices.
 
-    Every DP entry is at most (n-r)!. With nfree = n-r+1 free vertices, an
-    entry of `cur` at layer c >= 1 counts orderings of its c masked vertices
-    that end at the frontier's fixed last vertex, so it is at most
-    (c-1)! <= (nfree-1)!; at layer 0 it is 0 or 1. An entry of the product
-    S2 at layer c <= nfree-1 counts orderings of its c masked vertices, at
-    most c! <= (nfree-1)!. Entries are non-negative, so every partial sum in
-    the matmul and the scatter obeys the same bound. float64 is exact up to
-    2^53 and int64 up to 2^63 - 1; past that, object arrays of Python ints
-    are exact at any size.
+    Every array entry is at most (n-r)! = (nfree-1)!, nfree = n-r+1. At
+    layer c >= 1 an entry of `cur` counts orderings of its c masked vertices
+    that end at the frontier's last vertex t_{r-1}: at most (c-1)!. At layer
+    0 it is 0 or 1. An entry of P at layer c <= nfree-1 is at most c!, and
+    the gather only copies. Closure step k <= r-2 keeps t_{r-1} in R, so its
+    entries fix that free vertex: at most (nfree-1)!. Entries are
+    non-negative, so partial sums obey the same bounds. Only the last closure
+    step fixes no free vertex; its sum can reach nfree!, the total over
+    prefixes 2H <= (n-1)!, and both are Python ints. float64 is exact up to
+    2^53, int64 up to 2^63 - 1, and object arrays of Python ints at any size.
     """
     bound = math.factorial(n - r)
     if bound < 2**53:
@@ -116,72 +129,61 @@ def _dp_dtype(n: int, r: int):
 def _dp_count_numpy(graph: Hypergraph, dtype) -> int:
     """Layered vectorized subset DP over masks of the non-prefix vertices.
 
-    DP arrays are laid out (tail, mask, t1) where the frontier state is the
-    ordered tuple (t1, tail...) of the last r-1 placed vertices; this keeps
-    the per-layer contraction a contiguous batched matmul. Exact when `dtype`
-    is exact up to (n-r)!; see _dp_dtype.
+    Returns twice the cycle count. A layer is cur[F, m]: F is the base-n
+    index of the frontier (t1, ..., t_{r-1}) of the last r-1 placed vertices,
+    t1 most significant; m indexes the layer's masks. With R = (t2..t_{r-1})
+    and T[R, v, t1] = 1 iff (t1, R..., v) is an edge, a batched matmul over R
+    gives P[R, v, m], and (R, v) is the next frontier. Exact when `dtype` is
+    exact up to (n-r)!; see _dp_dtype.
     """
     n, r = graph.n, graph.r
-    tails = (n,) * (r - 2)  # a tail (t2..t_{r-1}) is stored as one base-n index
-    tail_dim = n ** (r - 2)
+    rest = n ** (r - 2)  # R as one base-n index
 
-    # T2[tail, t1, v] = 1 iff the window (t1, tail..., v) is an edge.
-    T2 = np.zeros(tails + (n, n), dtype=dtype)
+    T = np.zeros((n,) * r, dtype=dtype)
     for edge in graph.edges:
         for perm in itertools.permutations(edge):
-            T2[perm[1:-1] + (perm[0], perm[-1])] = 1
-    T2 = T2.reshape(tail_dim, n, n)
+            T[perm[1:-1] + (perm[-1], perm[0])] = 1
+    T = T.reshape(rest, n, n)
 
-    edges = graph.edges
+    def step(cur):
+        return T @ cur.reshape(n, rest, -1).transpose(1, 0, 2)
+
+    layers = _mask_layers(n - r + 1)
     total = 0
     for mid in itertools.permutations(range(1, n), r - 2):
         prefix = (0,) + mid
         free = [v for v in range(n) if v not in prefix]
-        nfree = len(free)
-        layers = _mask_layers(nfree)
+        start = np.ravel_multi_index(prefix, (n,) * (r - 1))
+        cur = np.zeros((n ** (r - 1), 1), dtype=dtype)
+        cur[start, 0] = 1
 
-        cur = np.zeros((tail_dim, 1, n), dtype=dtype)
-        cur[np.ravel_multi_index(mid, tails), 0, 0] = 1  # frontier (0, mid...)
-
-        for c in range(nfree):
-            masks = layers[c]
-            nxt_masks = layers[c + 1]
-            S2 = cur @ T2  # (tail, m, v)
+        for masks, nxt_masks in zip(layers, layers[1:]):
+            P = step(cur)
             # no other name or view holds the old layer, so it is freed here,
             # before the new one is allocated: at most two layer-sized arrays
             # are live at once
             del cur
-            cur = np.zeros((tail_dim, len(nxt_masks), n), dtype=dtype)
-            if r == 2:
-                for fi, v in enumerate(free):
-                    sel = (masks >> fi) & 1 == 0
-                    if sel.any():
-                        rows = np.searchsorted(nxt_masks, masks[sel] | (1 << fi))
-                        cur[0, rows, v] += S2[0, sel, v]
-            else:
-                # next state: t1' = tail[0], tail' = tail[1:] + (v,)
-                S4 = S2.reshape(n, -1, len(masks), n)
-                cur4 = cur.reshape(-1, n, len(nxt_masks), n)
-                for fi, v in enumerate(free):
-                    sel = (masks >> fi) & 1 == 0
-                    if sel.any():
-                        rows = np.searchsorted(nxt_masks, masks[sel] | (1 << fi))
-                        cur4[:, v, rows, :] += S4[:, :, sel, v].transpose(1, 2, 0)
-                del S4, cur4
-            del S2
+            cur = np.zeros((rest, n, len(nxt_masks)), dtype=dtype)
+            for fi, v in enumerate(free):
+                bit = 1 << fi
+                # a next mask holding fi has one source, itself without fi,
+                # so each entry is assigned once
+                has = np.flatnonzero(nxt_masks & bit)
+                src = np.searchsorted(masks, nxt_masks[has] ^ bit)
+                cur[:, v, has] = P[:, v, src]
+            # the last slot's index arrays go too: kept alive into the next
+            # layer, they fragment the heap and raise the peak RSS
+            del P, has, src
 
-        final = cur[:, 0, :]  # (tail, t1)
-        for tail_idx, t1 in zip(*np.nonzero(final)):
-            x = int(tail_idx)
-            tail_vs = []
-            for _ in range(r - 2):
-                x, t = divmod(x, n)
-                tail_vs.append(t)
-            closure = (int(t1),) + tuple(reversed(tail_vs)) + prefix
-            if all(
-                tuple(sorted(closure[h : h + r])) in edges for h in range(r - 1)
-            ):
-                total += int(final[tail_idx, t1])
+        # Closing the cycle takes r-1 forced steps onto the prefix. The last
+        # one lands on the prefix's own frontier; its sum can exceed (n-r)!,
+        # so it is taken in Python ints.
+        for v in prefix[:-1]:
+            P = step(cur)
+            cur = np.zeros_like(P)
+            cur[:, v] = P[:, v]
+        col = cur.reshape(n, rest)[:, start // n]
+        total += sum(map(int, col[T[start // n, prefix[-1]] != 0]))
     return total
 
 
@@ -189,9 +191,10 @@ def _estimate_dp_bytes(n: int, r: int, dtype) -> int:
     """Upper bound on the bytes _dp_count_numpy(graph, dtype) holds at once.
 
     Its widest layer holds two arrays of comb(nfree, nfree//2) masks by
-    n^(r-1) frontier states (the old layer and S2 during the matmul, S2 and
-    the new layer during the scatter), two scatter temporaries of n^(r-2) entries per mask,
-    and four int64 or bool mask-index arrays. The transition table holds n^r
+    n^(r-1) frontier states: the old layer and P during the matmul, P and
+    the new layer during the gather. The gather temporary P[:, v, src] holds
+    at most n^(r-2) entries per mask, counted twice for slack; a slot's index
+    arrays take four int64s per mask. The transition table holds n^r
     entries; the mask table is 2^nfree int64s, and building it takes two
     more. An object entry is a pointer to a Python int of at most (n-r)!.
     64 KiB more covers array headers and small Python objects.
@@ -211,7 +214,7 @@ def exact_ham_count(graph: Hypergraph, mem_gib: float | None = None) -> CountRes
     Equals brute_force_ham_count on its whole domain. One DP serves every n;
     its dtype is the cheapest one that is exact for n (_dp_dtype). Raises
     ScaleLimit with a state-count estimate when the DP would exceed the memory
-    budget (default 8 GiB; HAMFORGE_MEM_GIB overrides).
+    budget: min(8 GiB, half of MemAvailable) by default, or HAMFORGE_MEM_GIB.
     """
     n, r = graph.n, graph.r
     if n < r + 2:
@@ -271,14 +274,13 @@ def permanent(matrix) -> int:
         mask = 1 << bit
         gray ^= mask
         col = cols[bit]
+        sign = -sign
         if gray & mask:
             for i in range(n):
                 rowsums[i] += col[i]
-            sign = -sign
         else:
             for i in range(n):
                 rowsums[i] -= col[i]
-            sign = -sign
         prod = 1
         for s in rowsums:
             if s == 0:
@@ -388,10 +390,6 @@ def alon_upper_bound_h2(n: int, p: float) -> float:
     Evaluates the closed form without its (1+o(1)) factor; report it, never
     assert it as an inequality at finite n.
     """
-    if not 0 < p < 1:
-        raise ValueError("p must be in (0,1)")
-    if n < 3:
-        raise ValueError("n must be >= 3")
     return math.exp(log2_alon_upper_bound_h2(n, p) * math.log(2))
 
 

@@ -337,7 +337,6 @@ def mc_expected_H(
     spec: DensitySpec,
     build_samples: int,
     rng: Random,
-    mem_gib: float | None = None,
 ) -> ExpectedHReport:
     """Build quasi-random graphs from the family and exact-count each one."""
     if build_samples < 1:
@@ -345,7 +344,7 @@ def mc_expected_H(
     values = []
     for _ in range(build_samples):
         graph = build_quasirandom_from_partition(family, spec, rng)
-        values.append(exact_ham_count(graph, mem_gib=mem_gib).count)
+        values.append(exact_ham_count(graph).count)
     mean = sum(values) / len(values)
     ev = 2.0 ** log2_expectation_value(family.n, spec.as_float())
     return ExpectedHReport(

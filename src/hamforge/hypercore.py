@@ -59,9 +59,6 @@ class Hypergraph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def has_edge(self, edge: Iterable[int]) -> bool:
-        return tuple(sorted(edge)) in self.edges
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -75,22 +72,6 @@ class Hypergraph:
     def with_edge(self, edge: Iterable[int]) -> "Hypergraph":
         e = _normalize_edge(edge, self.n, self.r)
         return Hypergraph(self.n, self.r, self.edges | {e})
-
-
-@dataclass(frozen=True)
-class VertexPermutation:
-    """A bijection on [0,n), stored as the visiting order."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.order)
-        if sorted(self.order) != list(range(n)):
-            raise ValueError("order is not a permutation of 0..n-1")
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
 
 
 @dataclass(frozen=True)
@@ -115,8 +96,6 @@ class CanonicalCycle:
 
 
 def _as_order(pi) -> tuple[int, ...]:
-    if isinstance(pi, VertexPermutation):
-        return pi.order
     order = tuple(pi)
     n = len(order)
     if sorted(order) != list(range(n)):

@@ -1,11 +1,13 @@
 import itertools
 import math
+import os
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hamforge import counting
 from hamforge.counting import (
     adjacency_matrix,
     alon_upper_bound_h2,
@@ -21,6 +23,7 @@ from hamforge.counting import (
     _dp_count_numpy,
     _dp_dtype,
     _estimate_dp_bytes,
+    _mem_budget_bytes,
 )
 from hamforge.errors import ScaleLimit
 from hamforge.hypercore import Hypergraph
@@ -103,11 +106,24 @@ def test_oracle_equivalence_random_suite():
 
 def test_numpy_backend_matches_dict_backend():
     rng = random.Random(5)
-    for n, r, p in [(13, 2, 0.5), (13, 3, 0.35), (14, 3, 0.5)]:
+    for n, r, p in [(13, 2, 0.5), (13, 3, 0.35), (14, 3, 0.5), (11, 4, 0.5)]:
         g = random_hypergraph(n, r, p, rng)
         want = dict_dp_count(g)
         for dtype in (np.float64, np.int64, object):
             assert _dp_count_numpy(g, dtype) == want
+
+
+def test_relabeling_that_moves_the_anchor_keeps_the_count():
+    rng = random.Random(21)
+    for n, r in [(12, 2), (11, 3), (10, 4)]:
+        g = random_hypergraph(n, r, 0.5, rng)
+        pi = list(range(n))
+        while pi[0] == 0:
+            rng.shuffle(pi)
+        moved = Hypergraph.from_edges(n, r, [[pi[v] for v in e] for e in g.edges])
+        want = exact_ham_count(g).count
+        assert want > 0
+        assert exact_ham_count(moved).count == want
 
 
 def test_dtype_boundary():
@@ -132,6 +148,31 @@ def test_memory_estimate_covers_traced_peak():
         finally:
             tracemalloc.stop()
         assert peak <= _estimate_dp_bytes(n, r, dtype), (n, r, dtype, peak)
+
+
+def _mem_available_bytes():
+    with open(counting.MEMINFO) as f:
+        for line in f:
+            if line.startswith("MemAvailable:"):
+                return int(line.split()[1]) << 10
+
+
+def test_default_budget_is_at_most_half_of_available(monkeypatch, tmp_path):
+    monkeypatch.delenv("HAMFORGE_MEM_GIB", raising=False)
+    if os.path.exists(counting.MEMINFO):
+        before = _mem_available_bytes()
+        budget = _mem_budget_bytes()
+        after = _mem_available_bytes()
+        assert budget <= max(before, after) // 2
+    fake = tmp_path / "meminfo"
+    monkeypatch.setattr(counting, "MEMINFO", str(fake))
+    for avail_kib, want_gib in [(3 << 20, 1.5), (64 << 20, 8.0)]:
+        fake.write_text(f"MemTotal: {2 * avail_kib} kB\nMemAvailable: {avail_kib} kB\n")
+        assert _mem_budget_bytes() == int(want_gib * (1 << 30))
+    monkeypatch.setattr(counting, "MEMINFO", str(tmp_path / "absent"))
+    assert _mem_budget_bytes() == 8 << 30
+    monkeypatch.setenv("HAMFORGE_MEM_GIB", "0.5")
+    assert _mem_budget_bytes() == 1 << 29
 
 
 def test_monotone_under_edge_addition():
