@@ -431,11 +431,7 @@ def cmd_experiment(args) -> int:
     print(str(report_path))
     if rows is not None:
         csv_path = out_dir / f"{args.preset}-builds.csv"
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        csv_path.write_text(buf.getvalue())
+        _dump_csv(rows, str(csv_path))
         print(str(csv_path))
     return 0
 

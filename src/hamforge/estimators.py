@@ -10,7 +10,6 @@ products are carried in log2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ from .errors import (
     InsufficientGoodSamples,
     InvalidParams,
 )
-from .hypercore import window_set
+from .hypercore import Edge, window_set
 from .packing import PartitionedFamily
 from .randmodels import DensitySpec, build_quasirandom_from_partition
 
@@ -40,82 +39,52 @@ class Classification:
         return self.verdict == "good"
 
 
-class FamilyIndex:
-    """Edge -> owning group lookup for a partitioned family."""
-
-    def __init__(self, family: PartitionedFamily):
-        self.family = family
-        self.owner: dict[tuple, tuple] = {}
-        for gi, grp in enumerate(family.element_groups):
-            for ei, el in enumerate(grp):
-                for e in el.edges:
-                    self.owner[e] = ("L", gi, ei)
-        for gi, grp in enumerate(family.leftover_groups):
-            for pos, e in enumerate(grp):
-                self.owner[e] = ("W", gi, pos)
-
-
-def _index_cached(family: PartitionedFamily) -> FamilyIndex:
+def _owner_index(family: PartitionedFamily) -> dict[Edge, tuple[int, int]]:
+    """Edge -> (group, member) over `family.groups()`, built once per family."""
     # stash on the instance: hashing the nested family per lookup would cost
     # more than the classification itself
-    index = family.__dict__.get("_window_index")
+    index = family.__dict__.get("_owner_index")
     if index is None:
-        index = FamilyIndex(family)
-        family.__dict__["_window_index"] = index
+        index = {
+            e: (gi, mi)
+            for gi, grp in enumerate(family.groups())
+            for mi, (_, edges) in enumerate(grp)
+            for e in edges
+        }
+        family.__dict__["_owner_index"] = index
     return index
 
 
 def classify(pi, family: PartitionedFamily) -> Classification:
     """Classify a permutation against a family that locates every window."""
-    index = _index_cached(family)
+    index = _owner_index(family)
     windows = window_set(pi, family.r).windows
-    n = len(windows)
 
     owners = []
     for w in windows:
-        owner = index.owner.get(w)
-        if owner is None:
+        o = index.get(w)
+        if o is None:
             raise FamilyIncomplete(f"window {w} is not locatable in the family")
-        owners.append(owner)
+        owners.append(o)
 
     witness = None
-    seen_l: dict[int, tuple[int, tuple]] = {}  # L-group -> (element, first window)
-    seen_w: dict[int, tuple] = {}  # W-group -> first window
-    touched_l: set[int] = set()
-    touched_w: set[int] = set()
-    for w, owner in zip(windows, owners):
-        kind, gi, member = owner
-        if kind == "L":
-            touched_l.add(gi)
-            if gi in seen_l:
-                prev_member, prev_w = seen_l[gi]
-                if prev_member != member and witness is None:
-                    witness = ("L", gi, prev_w, w)
-            else:
-                seen_l[gi] = (member, w)
-        else:
-            touched_w.add(gi)
-            if gi in seen_w:
-                if witness is None and seen_w[gi] != w:
-                    witness = ("W", gi, seen_w[gi], w)
-            else:
-                seen_w[gi] = w
+    first: dict[int, tuple[int, tuple]] = {}  # group -> (member, first window)
+    for w, (gi, member) in zip(windows, owners):
+        if gi not in first:
+            first[gi] = (member, w)
+        elif witness is None and first[gi][0] != member:
+            witness = (gi, first[gi][1], w)
 
-    g_value = 0
-    for i in range(n):
-        a = owners[i]
-        b = owners[(i + 1) % n]
-        if a[0] == "L" and b[0] == "L" and a[1] == b[1] and a[2] == b[2]:
-            g_value += 1
+    # windows are distinct and a leftover member holds one edge, so two
+    # consecutive windows share a member only inside an element
+    g_value = sum(1 for a, b in zip(owners, owners[1:] + owners[:1]) if a == b)
 
     if witness is not None:
-        return Classification(verdict="bad", f_value=None, g_value=g_value, witness=witness)
-    return Classification(
-        verdict="good",
-        f_value=len(touched_l) + len(touched_w),
-        g_value=g_value,
-        witness=None,
-    )
+        gi, a, b = witness
+        n_elem = len(family.element_groups)
+        kind = ("L", gi) if gi < n_elem else ("W", gi - n_elem)
+        return Classification(verdict="bad", f_value=None, g_value=g_value, witness=(*kind, a, b))
+    return Classification(verdict="good", f_value=len(first), g_value=g_value, witness=None)
 
 
 @dataclass(frozen=True)
@@ -231,9 +200,6 @@ class EstimateReport:
             "log2_ratio": self.log2_ratio,
             "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def mc_fbar_and_bound(

@@ -1,5 +1,6 @@
-"""Randomized edge-disjoint packings, their validator, and the partitioners
-that group packing elements / leftover edges into vertex-disjoint k-sets.
+"""Randomized edge-disjoint packings, their validator, and the partitioner
+that groups Steiner blocks, packing elements and leftover edges into
+vertex-disjoint k-sets.
 
 The randomized builder follows the sample -> reassign -> color -> trim
 pipeline: sample K vertex q-sets, give each multiply-covered edge at most one
@@ -7,15 +8,20 @@ owner via a uniform draw, color surviving edges red/white, and trim white
 edges so every element ends with the same edge count z. Red degrees are what
 survives trimming, so the red-degree floor is the retry predicate guarding
 the final min-degree property.
+
+The partitioner sees each item only through its vertex set: two items
+conflict when their vertex sets meet. Its effort is fixed by the module
+constants SWAP_BUDGET and RESTARTS; only the shuffle stream is a parameter.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
     ConstructionBug,
@@ -322,22 +328,74 @@ def leftover_edges(packing: Packing, k: int | None = None) -> list[Edge]:
 # disjoint-group partitioning
 # ---------------------------------------------------------------------------
 
+SWAP_BUDGET = 10_000  # relocations tried per pass
+RESTARTS = 8  # shuffled passes after the degree-ordered one
+
+
+def _first_fit(order: list[int], keys: list[frozenset], k: int) -> tuple[list[list[int]], int]:
+    """One pass: place the items in `order` first-fit, with relocation repair.
+
+    Returns the groups and how many items were placed; the pass succeeded
+    when every item was.
+    """
+    n_groups = len(keys) // k
+    groups: list[list[int]] = [[] for _ in range(n_groups)]
+    used: list[set[int]] = [set() for _ in range(n_groups)]  # union of member keys
+    open_groups = list(range(n_groups))
+    budget = SWAP_BUDGET
+
+    def add(g: int, idx: int) -> None:
+        groups[g].append(idx)
+        used[g].update(keys[idx])
+        if len(groups[g]) == k:
+            open_groups.remove(g)
+
+    def repair(idx: int) -> bool:
+        """Relocate one member of an open group to make room for idx."""
+        nonlocal budget
+        key = keys[idx]
+        for g in open_groups:
+            if budget <= 0:
+                return False
+            for mi, member in enumerate(groups[g]):
+                rest = groups[g][:mi] + groups[g][mi + 1 :]
+                if not all(key.isdisjoint(keys[o]) for o in rest):
+                    continue
+                target = next(
+                    (h for h in open_groups if h != g and keys[member].isdisjoint(used[h])),
+                    None,
+                )
+                budget -= 1
+                if target is not None:
+                    groups[g] = rest + [idx]
+                    used[g] = set(key).union(*(keys[o] for o in rest))
+                    add(target, member)
+                    return True
+        return False
+
+    for placed, idx in enumerate(order):
+        g = next((g for g in open_groups if keys[idx].isdisjoint(used[g])), None)
+        if g is not None:
+            add(g, idx)
+        elif not repair(idx):
+            return groups, placed
+    return groups, len(order)
+
+
 def partition_into_disjoint_groups(
     items: Sequence,
     k: int,
-    conflict: Callable | None = None,
+    vertex_key: Callable[..., Iterable[int]],
     *,
-    vertex_key: Callable[..., Iterable[int]] | None = None,
-    swap_budget: int = 10_000,
-    restarts: int = 8,
     rng: Random | None = None,
 ) -> list[list]:
-    """Partition items into |items|/k groups of k pairwise non-conflicting items.
+    """Partition items into |items|/k groups of k items with pairwise disjoint
+    vertex sets, `vertex_key(item)` giving an item's vertex set.
 
-    Greedy first-fit ordered by conflict degree, with relocation repair and
-    shuffled restarts. Either a pairwise `conflict` predicate or a
-    `vertex_key` (conflict = shared vertex) must be given; the vertex path
-    scales to large leftover sets.
+    Greedy first-fit ordered by vertex-sharing degree, with relocation repair
+    (at most SWAP_BUDGET relocations per pass) and RESTARTS shuffled restarts
+    drawn from `rng` (Random(0) when omitted). Each group keeps the union of
+    its members' vertex sets, so a fit test is one set-disjointness check.
     """
     items = list(items)
     if k < 1:
@@ -348,93 +406,32 @@ def partition_into_disjoint_groups(
         )
     if k == 1:
         return [[it] for it in items]
-    if (conflict is None) == (vertex_key is None):
-        raise InvalidParams("provide exactly one of conflict= or vertex_key=")
 
-    n_groups = len(items) // k
+    keys = [frozenset(vertex_key(it)) for it in items]
+    if keys:
+        smallest = min(map(len, keys))
+        universe = len(frozenset().union(*keys))
+        if k * smallest > universe:
+            raise InvalidParams(
+                f"{k} disjoint items of at least {smallest} vertices each "
+                f"cannot fit in {universe} vertices"
+            )
+    counts = Counter(v for ks in keys for v in ks)
+    degree = [sum(counts[v] - 1 for v in ks) for ks in keys]
 
-    if vertex_key is not None:
-        keys = [frozenset(vertex_key(it)) for it in items]
-
-        def conflicts(i: int, j: int) -> bool:
-            return bool(keys[i] & keys[j])
-
-        counts: dict[int, int] = {}
-        for ks in keys:
-            for v in ks:
-                counts[v] = counts.get(v, 0) + 1
-        degree = [sum(counts[v] - 1 for v in ks) for ks in keys]
-    else:
-        if len(items) > 5000:
-            raise InvalidParams("generic conflict predicate is quadratic; use vertex_key for large item sets")
-
-        def conflicts(i: int, j: int) -> bool:
-            return conflict(items[i], items[j])
-
-        degree = [0] * len(items)
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if conflicts(i, j):
-                    degree[i] += 1
-                    degree[j] += 1
-
-    base_order = sorted(range(len(items)), key=lambda i: (-degree[i], i))
-
-    def try_fill(order: list[int]) -> list[list[int]] | None:
-        groups: list[list[int]] = [[] for _ in range(n_groups)]
-        open_groups = list(range(n_groups))
-        budget = swap_budget
-
-        def fits(idx: int, group: list[int]) -> bool:
-            return all(not conflicts(idx, member) for member in group)
-
-        for idx in order:
-            placed = False
-            for g in open_groups:
-                if fits(idx, groups[g]):
-                    groups[g].append(idx)
-                    placed = True
-                    break
-            if placed:
-                open_groups = [g for g in open_groups if len(groups[g]) < k]
-                continue
-            # repair: relocate one member of an open group to make room
-            for g in open_groups:
-                if budget <= 0:
-                    return None
-                for mi, member in enumerate(groups[g]):
-                    rest = groups[g][:mi] + groups[g][mi + 1 :]
-                    if not fits(idx, rest):
-                        continue
-                    target = None
-                    for h in open_groups:
-                        if h != g and fits(member, groups[h]):
-                            target = h
-                            break
-                    budget -= 1
-                    if target is not None:
-                        groups[g] = rest + [idx]
-                        groups[target].append(member)
-                        placed = True
-                        break
-                if placed:
-                    break
-            if not placed:
-                return None
-            open_groups = [g for g in open_groups if len(groups[g]) < k]
-        return groups
-
-    order = list(base_order)
+    order = sorted(range(len(items)), key=lambda i: (-degree[i], i))
     shuffler = rng or Random(0)
-    for attempt in range(restarts + 1):
-        result = try_fill(order)
-        if result is not None:
-            return [[items[i] for i in group] for group in result]
+    best = 0
+    for _ in range(RESTARTS + 1):
+        groups, placed = _first_fit(order, keys, k)
+        if placed == len(items):
+            return [[items[i] for i in group] for group in groups]
+        best = max(best, placed)
         order = list(range(len(items)))
         shuffler.shuffle(order)
     raise PartitionFailed(
-        f"no disjoint {k}-grouping of {len(items)} items within budget "
-        f"({restarts} restarts, {swap_budget} swaps each)"
+        f"no disjoint {k}-grouping of {len(items)} items: best pass placed "
+        f"{best} of {len(items)} items ({RESTARTS} restarts, {SWAP_BUDGET} swaps each)"
     )
 
 
@@ -452,7 +449,12 @@ class FamilyElement:
 class PartitionedFamily:
     """Groups of k vertex-disjoint subgraphs plus groups of k disjoint
     leftover edges; the ownership structure behind the quasi-random builder
-    and the permutation classifier."""
+    and the permutation classifier.
+
+    Readers walk both kinds through `groups()`, which yields every group as
+    one tuple of (vertices, edges) members: the element groups first, then
+    the leftover groups with each edge as a one-edge member.
+    """
 
     n: int
     r: int
@@ -461,9 +463,14 @@ class PartitionedFamily:
     leftover_groups: tuple[tuple[Edge, ...], ...]
     steiner_q: int | None = None
 
+    def groups(self) -> Iterator[tuple[tuple[tuple[int, ...], tuple[Edge, ...]], ...]]:
+        for grp in self.element_groups:
+            yield tuple((el.vertices, el.edges) for el in grp)
+        for grp in self.leftover_groups:
+            yield tuple((e, (e,)) for e in grp)
+
     def total_edges(self) -> int:
-        covered = sum(len(el.edges) for grp in self.element_groups for el in grp)
-        return covered + sum(len(grp) for grp in self.leftover_groups)
+        return sum(len(edges) for grp in self.groups() for _, edges in grp)
 
     def is_complete(self) -> bool:
         return self.total_edges() == math.comb(self.n, self.r)
@@ -476,29 +483,18 @@ class PartitionedFamily:
 
     def validate(self) -> None:
         seen: set[Edge] = set()
-        for gi, grp in enumerate(self.element_groups):
+        for gi, grp in enumerate(self.groups()):
             if len(grp) != self.k:
-                raise InvalidParams(f"element group {gi} has {len(grp)} members, expected {self.k}")
-            for a in range(len(grp)):
-                for b in range(a + 1, len(grp)):
-                    if set(grp[a].vertices) & set(grp[b].vertices):
-                        raise InvalidParams(f"element group {gi} members {a},{b} share a vertex")
-            for el in grp:
-                for e in el.edges:
+                raise InvalidParams(f"group {gi} has {len(grp)} members, expected {self.k}")
+            used: set[int] = set()
+            for a, (vertices, edges) in enumerate(grp):
+                if not used.isdisjoint(vertices):
+                    raise InvalidParams(f"group {gi} member {a} shares a vertex with another member")
+                used.update(vertices)
+                for e in edges:
                     if e in seen:
                         raise InvalidParams(f"edge {e} appears twice in the family")
                     seen.add(e)
-        for gi, grp in enumerate(self.leftover_groups):
-            if len(grp) != self.k:
-                raise InvalidParams(f"leftover group {gi} has {len(grp)} members, expected {self.k}")
-            for a in range(len(grp)):
-                for b in range(a + 1, len(grp)):
-                    if set(grp[a]) & set(grp[b]):
-                        raise InvalidParams(f"leftover group {gi} edges {a},{b} share a vertex")
-            for e in grp:
-                if e in seen:
-                    raise InvalidParams(f"edge {e} appears twice in the family")
-                seen.add(e)
 
     def to_json_dict(self) -> dict:
         return {
@@ -546,17 +542,14 @@ class PartitionedFamily:
         return fam
 
 
-def family_from_design(system: SteinerSystem, k: int, *, rng: Random | None = None,
-                       swap_budget: int = 10_000) -> PartitionedFamily:
+def family_from_design(system: SteinerSystem, k: int, *, rng: Random | None = None) -> PartitionedFamily:
     """Partition a Steiner system's blocks into vertex-disjoint k-groups.
 
     Each block becomes a complete 3-graph element; designs cover every
     triple, so there are no leftover edges.
     """
     blocks = list(system.blocks)
-    groups = partition_into_disjoint_groups(
-        blocks, k, vertex_key=lambda b: b, swap_budget=swap_budget, rng=rng
-    )
+    groups = partition_into_disjoint_groups(blocks, k, lambda b: b, rng=rng)
     element_groups = tuple(
         tuple(
             FamilyElement(
@@ -578,22 +571,16 @@ def family_from_design(system: SteinerSystem, k: int, *, rng: Random | None = No
     return fam
 
 
-def family_from_packing(packing: Packing, *, rng: Random | None = None,
-                        swap_budget: int = 10_000) -> PartitionedFamily:
+def family_from_packing(packing: Packing, *, rng: Random | None = None) -> PartitionedFamily:
     """Group packing elements and leftover edges into vertex-disjoint k-sets."""
     k = packing.k
     elements = [
         FamilyElement(vertices=vs, edges=es)
         for vs, es in zip(packing.vertex_sets, packing.edge_sets)
     ]
-    element_groups = partition_into_disjoint_groups(
-        elements, k, vertex_key=lambda el: el.vertices,
-        swap_budget=swap_budget, rng=rng,
-    )
+    element_groups = partition_into_disjoint_groups(elements, k, lambda el: el.vertices, rng=rng)
     leftovers = leftover_edges(packing, k)
-    leftover_groups = partition_into_disjoint_groups(
-        leftovers, k, vertex_key=lambda e: e, swap_budget=swap_budget, rng=rng
-    )
+    leftover_groups = partition_into_disjoint_groups(leftovers, k, lambda e: e, rng=rng)
     fam = PartitionedFamily(
         n=packing.n, r=packing.r, k=k,
         element_groups=tuple(tuple(grp) for grp in element_groups),

@@ -8,7 +8,6 @@ seed fully determines the output.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,18 +107,12 @@ def build_quasirandom_from_partition(
         )
     ln = spec.num
     edges: set[Edge] = set()
-    for grp in family.element_groups:
+    for grp in family.groups():
         for idx in sorted(rng.sample(range(family.k), ln)):
-            for e in grp[idx].edges:
+            for e in grp[idx][1]:
                 if e in edges:
                     raise ConstructionBug(f"edge {e} contributed twice")
                 edges.add(e)
-    for grp in family.leftover_groups:
-        for idx in sorted(rng.sample(range(family.k), ln)):
-            e = grp[idx]
-            if e in edges:
-                raise ConstructionBug(f"edge {e} contributed twice")
-            edges.add(e)
     graph = Hypergraph.from_edges(family.n, family.r, edges)
     if family.is_complete() and family.uniform_element_size() is not None:
         want = _edge_target(family.n, family.r, spec.as_fraction())
@@ -158,9 +151,6 @@ class AuditReport:
             "violations": self.violations,
             "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def audit_quasirandomness(

@@ -103,10 +103,21 @@ def test_domain_error_verbatim(tmp_path, capsys):
     design = tmp_path / "d.txt"
     run(["steiner", "--q", 2, "--s", 2, "--out", design])
     capsys.readouterr()
-    # S(3,3,5) blocks can never pair disjointly on 5 points
+    # S(3,3,5) blocks can never pair disjointly on 5 points: two disjoint
+    # triples need 6, so the partitioner refuses before any pass
     assert run(["family", "--design", design, "--k", 2, "--seed", 1,
                 "--out", tmp_path / "f.json"]) == 2
-    assert "PartitionFailed" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "InvalidParams: 2 disjoint items of at least 3 vertices each "
+        "cannot fit in 5 vertices\n"
+    )
+    # S(3,4,10) passes that count but no pass pairs its blocks
+    run(["steiner", "--q", 3, "--s", 2, "--out", design])
+    capsys.readouterr()
+    assert run(["family", "--design", design, "--k", 2, "--seed", 1,
+                "--out", tmp_path / "f.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("PartitionFailed: ") and "best pass placed" in err
 
 
 def test_experiment_preset_reproducible(tmp_path, capsys):

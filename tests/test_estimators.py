@@ -89,18 +89,43 @@ def test_classify_matches_oracle(fam17, fam10):
     assert (got.verdict, got.f_value, got.g_value) == classify_oracle(ident, fam17)
 
 
-def test_classify_with_leftover_groups():
-    # packing-derived family exercises W-group ownership
+@pytest.fixture(scope="module")
+def fam40():
+    # packing-derived family: element groups and leftover (W) groups
     from hamforge.packing import PackingParams, build_random_packing, family_from_packing
 
     params = PackingParams.direct(n=40, r=3, k=2, q=6, K=10, M=1, tau=1)
     packing, _ = build_random_packing(params, random.Random(0), retries=30)
-    fam = family_from_packing(packing, rng=random.Random(0))
+    return family_from_packing(packing, rng=random.Random(0))
+
+
+def test_classify_with_leftover_groups(fam40):
     rng = random.Random(1)
     for _ in range(5):
         perm = tuple(rng.sample(range(40), 40))
-        got = classify(perm, fam)
-        assert (got.verdict, got.f_value, got.g_value) == classify_oracle(perm, fam)
+        got = classify(perm, fam40)
+        assert (got.verdict, got.f_value, got.g_value) == classify_oracle(perm, fam40)
+
+
+def test_witness_names_its_group(fam40):
+    # a bad permutation's witness names the group, by kind and index within
+    # that kind, that holds two of its windows in distinct members
+    rng = random.Random(1)
+    kinds = set()
+    for _ in range(200):
+        c = classify(tuple(rng.sample(range(40), 40)), fam40)
+        if c.is_good:
+            assert c.witness is None
+            continue
+        kind, gi, w1, w2 = c.witness
+        kinds.add(kind)
+        if kind == "L":
+            grp = fam40.element_groups[gi]
+            m1, m2 = (next(i for i, el in enumerate(grp) if w in el.edges) for w in (w1, w2))
+            assert m1 != m2
+        else:
+            assert kind == "W" and w1 != w2 and {w1, w2} <= set(fam40.leftover_groups[gi])
+    assert kinds == {"L", "W"}
 
 
 def test_classify_symmetry(fam17):

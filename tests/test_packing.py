@@ -1,9 +1,13 @@
+import hashlib
 import io
 import itertools
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamforge.errors import (
     DivisibilityViolation,
@@ -137,24 +141,66 @@ def test_partition_steiner_blocks():
 
 
 def test_partition_k1_and_small_leftovers():
-    items = list(range(7))
-    assert partition_into_disjoint_groups(items, 1, conflict=lambda a, b: True) == [
-        [i] for i in items
-    ]
+    # k=1 returns singletons, even for items that all share a vertex
+    items = [(0, i) for i in range(1, 8)]
+    assert partition_into_disjoint_groups(items, 1, lambda e: e) == [[e] for e in items]
     triples = list(itertools.combinations(range(8), 3))
-    groups = partition_into_disjoint_groups(triples, 2, vertex_key=lambda e: e)
+    groups = partition_into_disjoint_groups(triples, 2, lambda e: e)
     assert all(len(g) == 2 and not set(g[0]) & set(g[1]) for g in groups)
     assert sorted(e for g in groups for e in g) == triples
 
 
 def test_partition_failure_and_divisibility():
     with pytest.raises(DivisibilityViolation):
-        partition_into_disjoint_groups([1, 2, 3], 2, conflict=lambda a, b: False)
-    # four items forming a clique of conflicts cannot be paired
-    with pytest.raises(PartitionFailed):
-        partition_into_disjoint_groups(
-            [0, 1, 2, 3], 2, conflict=lambda a, b: True, restarts=2, swap_budget=50
-        )
+        partition_into_disjoint_groups([(0,), (1,), (2,)], 2, lambda e: e)
+    # four edges through vertex 0 pairwise conflict, so none can be paired
+    with pytest.raises(PartitionFailed, match="best pass placed 2 of 4 items"):
+        partition_into_disjoint_groups([(0, 1), (0, 2), (0, 3), (0, 4)], 2, lambda e: e)
+
+
+def test_partition_too_few_vertices_is_invalid():
+    # S(3,5,17) with k=4: four disjoint 5-blocks need 20 > 17 vertices
+    system = build_spherical_steiner(4, 2)
+    assert system.n == 17 and system.q == 4
+    with pytest.raises(InvalidParams, match="cannot fit in 17 vertices"):
+        family_from_design(system, 4, rng=random.Random(0))
+
+
+def _family_digest(fam) -> str:
+    return hashlib.sha256(json.dumps(fam.to_json_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def test_partition_output_is_pinned():
+    # seeded reports built on a family change exactly when these digests do
+    fam17 = family_from_design(build_spherical_steiner(2, 4), 2, rng=random.Random(0))
+    assert _family_digest(fam17) == (
+        "32db56982018676b807af5c3b595a22f044719806ae7b479fbdb8252af354b9f"
+    )
+    params = PackingParams.direct(n=40, r=3, k=2, q=6, K=10, M=1, tau=1)
+    packing, _ = build_random_packing(params, random.Random(0), retries=30)
+    fam40 = family_from_packing(packing, rng=random.Random(0))
+    assert _family_digest(fam40) == (
+        "3bf62c66ebdf8acde0b8781fd435af14cd64753b0e7501609c2927efcce63720"
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.frozensets(st.integers(0, 11), max_size=4), max_size=24),
+    st.sampled_from([1, 2, 3]),
+    st.integers(0, 2**32),
+)
+def test_partition_property(keys, k, seed):
+    items = list(enumerate(keys))  # distinct items, possibly equal vertex sets
+    try:
+        groups = partition_into_disjoint_groups(items, k, lambda it: it[1], rng=random.Random(seed))
+    except (DivisibilityViolation, InvalidParams, PartitionFailed):
+        return
+    assert sorted(it for g in groups for it in g) == items
+    for g in groups:
+        assert len(g) == k
+        for a, b in itertools.combinations(g, 2):
+            assert a[1].isdisjoint(b[1])
 
 
 def test_family_from_design_complete():
