@@ -2,8 +2,8 @@
 
 The exact counter anchors cycles at vertex 0 to kill rotations and divides by
 two for reversal, so all 2n symmetric traversals of one cycle collapse to a
-single count. One vectorized subset DP counts at every n and r; one
-transition table steps its frontier and closes the cycle. Counts are exact
+single count. One vectorized subset DP counts at every n and r; one edge
+table steps its frontier, starts it and closes the cycle. Counts are exact
 integers: the DP runs in float64 or int64 while a proven bound on its
 entries, (n-r)!, fits the type exactly, on Python ints (numpy object arrays)
 beyond that, and sums each closure in Python ints.
@@ -69,24 +69,38 @@ class TwoFactorProfile:
 
 
 def brute_force_ham_count(graph: Hypergraph, limit: int = 10) -> CountResult:
-    """Count Hamiltonian cycles by filtering all (n-1)! anchored permutations."""
+    """Count Hamiltonian cycles by exhaustive search over anchored sequences.
+
+    A depth-first search extends (0, ...) by one unused vertex at a time and
+    abandons a sequence at its first window that is not an edge, so every
+    vertex order is covered; a full sequence counts if its r-1 wrap-around
+    windows are edges too. Each cycle is found once in each direction.
+    """
     n, r = graph.n, graph.r
     if n < r + 2:
         raise DegenerateCycle(f"need n >= r+2 (got n={n}, r={r})")
     if n > limit:
-        raise ScaleLimit(f"brute force enumerates (n-1)! permutations; n={n} > {limit}")
+        raise ScaleLimit(f"brute force searches up to (n-1)! sequences; n={n} > {limit}")
     edges = graph.edges
-    total = 0
-    for rest in itertools.permutations(range(1, n)):
-        seq = (0,) + rest
-        doubled = seq + seq[: r - 1]
-        ok = True
-        for i in range(n):
-            if tuple(sorted(doubled[i : i + r])) not in edges:
-                ok = False
-                break
-        if ok:
-            total += 1
+    # r-1 vertices -> bitmask of the vertices that complete an edge with them
+    follow: dict[tuple[int, ...], int] = {}
+    for edge in edges:
+        for perm in itertools.permutations(edge):
+            follow[perm[:-1]] = follow.get(perm[:-1], 0) | 1 << perm[-1]
+
+    def extend(seq: tuple[int, ...], unused: int) -> int:
+        if not unused:
+            wrap = seq[n - r + 1 :] + seq[: r - 1]
+            return all(tuple(sorted(wrap[i : i + r])) in edges for i in range(r - 1))
+        found = 0
+        ways = unused if len(seq) < r - 1 else follow.get(seq[1 - r :], 0) & unused
+        while ways:
+            bit = ways & -ways
+            found += extend(seq + (bit.bit_length() - 1,), unused ^ bit)
+            ways ^= bit
+        return found
+
+    total = extend((0,), (1 << n) - 2)
     assert total % 2 == 0
     return CountResult(count=total // 2, method="brute_force")
 
@@ -104,21 +118,36 @@ def _mask_layers(nfree: int) -> tuple[np.ndarray, ...]:
     return tuple(np.split(masks, np.cumsum(np.bincount(popcount))[:-1]))
 
 
+def _dp_shape(n: int, r: int) -> tuple[int, int, int, int]:
+    """(r', N, K, ng) of _dp_count_numpy on n vertices of an r-graph.
+
+    r' is the uniformity it counts at: r, or n-r below n = 2r-2, where no
+    frontier of r-1 free vertices exists. There it counts the (n-r)-graph of
+    edge complements instead: a window's complement is the n-r cyclically
+    consecutive vertices after it, so both graphs have the same tight
+    Hamiltonian cycles, and n >= 2(n-r)-2 holds. N = n-r'+1 free slots,
+    K = N-r'+2 of them outside a frontier tuple G, and ng = N!/K! tuples G.
+    """
+    r = r if n >= 2 * r - 2 else n - r
+    N = n - r + 1
+    return r, N, N - r + 2, math.perm(N, r - 2)
+
+
 def _dp_dtype(n: int, r: int):
     """The cheapest dtype in which _dp_count_numpy is exact on n vertices.
 
-    Every array entry is at most (n-r)! = (nfree-1)!, nfree = n-r+1. At
-    layer c >= 1 an entry of `cur` counts orderings of its c masked vertices
-    that end at the frontier's last vertex t_{r-1}: at most (c-1)!. At layer
-    0 it is 0 or 1. An entry of P at layer c <= nfree-1 is at most c!, and
-    the gather only copies. Closure step k <= r-2 keeps t_{r-1} in R, so its
-    entries fix that free vertex: at most (nfree-1)!. Entries are
-    non-negative, so partial sums obey the same bounds. Only the last closure
-    step fixes no free vertex; its sum can reach nfree!, the total over
-    prefixes 2H <= (n-1)!, and both are Python ints. float64 is exact up to
-    2^53, int64 up to 2^63 - 1, and object arrays of Python ints at any size.
+    Every array entry is at most (n-r)!, with r the uniformity _dp_shape
+    gives. With N = n-r+1 free vertices, an entry of L at layer c >= r-1
+    counts orderings of its c placed vertices that end at its frontier
+    (t1, ..., t_{r-1}): at most (c-r+1)!. An entry of P = E @ L fixes only
+    the last r-2 of c+1 vertices: at most (c-r+2)! <= (N-r+1)! for
+    c <= N-1. Start weights and E are 0 or 1, the gather only copies, and
+    (N-r+1)! <= (n-r)!. Entries are non-negative, so partial sums obey the
+    same bounds. The closure sum can reach 2H <= (n-1)!; it is taken in
+    Python ints. float64 is exact up to 2^53, int64 up to 2^63 - 1, and
+    object arrays of Python ints at any size.
     """
-    bound = math.factorial(n - r)
+    bound = math.factorial(n - _dp_shape(n, r)[0])
     if bound < 2**53:
         return np.float64
     if bound < 2**63:
@@ -127,85 +156,130 @@ def _dp_dtype(n: int, r: int):
 
 
 def _dp_count_numpy(graph: Hypergraph, dtype) -> int:
-    """Layered vectorized subset DP over masks of the non-prefix vertices.
+    """Layered vectorized subset DP over the vertices outside an anchored prefix.
 
-    Returns twice the cycle count. A layer is cur[F, m]: F is the base-n
-    index of the frontier (t1, ..., t_{r-1}) of the last r-1 placed vertices,
-    t1 most significant; m indexes the layer's masks. With R = (t2..t_{r-1})
-    and T[R, v, t1] = 1 iff (t1, R..., v) is an edge, a batched matmul over R
-    gives P[R, v, m], and (R, v) is the next frontier. Exact when `dtype` is
-    exact up to (n-r)!; see _dp_dtype.
+    Returns twice the cycle count. Each prefix (0, ...) of r-1 vertices
+    leaves N = n-r+1 free vertices, addressed by slot. A layer L[t1, g, u]
+    counts the orderings of its c placed free vertices that pass every window
+    so far and end at the frontier (t1, G). g indexes the injective
+    (r-2)-tuple G = (t2, ..., t_{r-1}) of slots, and u ranks U = S minus G,
+    the placed set S without G, among the subsets of the K = N-r+2 other
+    slots (_mask_layers order). One trailing all-zero u column is kept. With
+    E[g, v, t1] = 1 iff (t1, G, v) is an edge, one batched matmul gives
+    P[g, v, u], whose row (g, v) holds the new frontier (G, v). The next
+    layer reads P through one gather index per free slot. The indices depend
+    only on (N, r, layer), so one set serves every prefix of a count. A
+    frontier whose t1 is not in U reads the zero column, so no entry needs
+    zeroing. The DP starts at layer r-1, weighted by the r-1 windows that
+    touch the prefix, and closes with the r-1 windows that wrap around.
+    Below n = 2r-2 it counts the complements' (n-r)-graph; see _dp_shape.
+    Exact when `dtype` is exact up to (n-r)!; see _dp_dtype.
     """
-    n, r = graph.n, graph.r
-    rest = n ** (r - 2)  # R as one base-n index
-
+    n = graph.n
+    r, N, K, ng = _dp_shape(n, graph.r)
+    if r != graph.r:
+        everything = set(range(n))
+        graph = Hypergraph.from_edges(n, r, [everything.difference(e) for e in graph.edges])
+    layers = _mask_layers(K)
     T = np.zeros((n,) * r, dtype=dtype)
-    for edge in graph.edges:
-        for perm in itertools.permutations(edge):
-            T[perm[1:-1] + (perm[-1], perm[0])] = 1
-    T = T.reshape(rest, n, n)
+    edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, r).T
+    for perm in itertools.permutations(range(r)):
+        T[tuple(edges[list(perm)])] = 1
+    T = T.ravel()  # read at base-n window indices; every order of an edge is set
+    weights = n ** np.arange(r - 1, -1, -1)
 
-    def step(cur):
-        return T @ cur.reshape(n, rest, -1).transpose(1, 0, 2)
+    G = np.array(list(itertools.permutations(range(N), r - 2)), dtype=np.intp).reshape(ng, r - 2)
+    gidx = np.zeros(N ** (r - 2), dtype=np.intp)
+    gidx[G @ N ** np.arange(r - 3, -1, -1)] = np.arange(ng)
+    # F[t, g] = (t, G_g) is a frontier; as the next one it reads row
+    # (F[:-1], F[-1]) of P
+    F = np.empty((N, ng, r - 1), dtype=np.intp)
+    F[..., 0], F[..., 1:] = np.arange(N)[:, None], G
+    valid = (F[..., 1:] != F[..., :1]).all(-1)
+    a = F[..., 0] - (F[..., 1:] < F[..., :1]).sum(-1)  # rank of t outside G_g
+    v = F[..., -1]
+    b = v - (F[..., :-1] < v[..., None]).sum(-1)  # rank of v outside F[:-1]
+    # row of P that each next frontier reads, within slot t's block of P
+    rows = gidx[F[..., :-1] @ N ** np.arange(r - 3, -1, -1)] * N + v - np.arange(N)[:, None] * ng
+    a[~valid] = b[~valid] = rows[~valid] = 0
 
-    layers = _mask_layers(n - r + 1)
+    def gather_indices(k):
+        """Per slot t, the index into t's block of P, from U-layer k to k+1."""
+        cur, nxt = layers[k], layers[k + 1]
+        width = len(cur) + 1
+        itype = np.uint16 if ng * width <= 1 << 16 else np.int32
+        for t in range(N):
+            pairs, inv = np.unique(a[t] * K + b[t], return_inverse=True)
+            ua, ub = (x[:, None] for x in divmod(pairs, K))
+            # dropping t (rank ua) from U' and adding v (rank ub) to the slots
+            # keeps mask order, and maps the masks holding t one to one onto
+            # the masks lacking v: the j-th of the one reads the j-th of the other
+            umap = np.full((len(pairs), len(nxt) + 1), len(cur), dtype=itype)
+            umap[:, :-1][nxt & 1 << ua != 0] = np.nonzero(cur & 1 << ub == 0)[1]
+            umap = umap[inv]
+            umap[~valid[t]] = len(cur)
+            umap += (rows[t] * width).astype(itype)[:, None]
+            yield umap
+
+    indices = [gather_indices(k) for k in range(1, K)]
+    if r > 2:  # shared by every prefix, one array per layer; r=2 has one prefix and keeps none
+        indices = [np.stack(list(m)) for m in indices]
+    # seq[:, t, g] is prefix + F[t, g] + prefix; of its windows the first
+    # r-1 weight the start at layer r-1, and the last r-1 close the cycle
+    seq = np.empty((3 * r - 3, N, ng), dtype=np.intp)
+    start = (*np.indices((N, ng)), a)
     total = 0
     for mid in itertools.permutations(range(1, n), r - 2):
-        prefix = (0,) + mid
-        free = [v for v in range(n) if v not in prefix]
-        start = np.ravel_multi_index(prefix, (n,) * (r - 1))
-        cur = np.zeros((n ** (r - 1), 1), dtype=dtype)
-        cur[start, 0] = 1
-
-        for masks, nxt_masks in zip(layers, layers[1:]):
-            P = step(cur)
+        free = np.array([u for u in range(1, n) if u not in mid])
+        seq[: r - 1] = seq[2 * r - 2 :] = np.array((0,) + mid)[:, None, None]
+        seq[r - 1 : 2 * r - 2] = np.moveaxis(free[F], 2, 0)
+        w = T[sum(seq[j : j + 2 * r - 2] * weights[j] for j in range(r))]
+        L = np.zeros((N, ng, K + 1), dtype=dtype)
+        L[start] = w[: r - 1].prod(0)
+        E = T[(free[G] @ weights[1:-1])[:, None, None] + free[:, None] + free * n ** (r - 1)]
+        for k, slot_indices in enumerate(indices, 1):
+            # row t of P is the block that slot t's next frontiers read: the
+            # rows whose G starts at t (r > 2), or row v = t (r = 2)
+            P = (E @ L.transpose(1, 0, 2)).reshape(N, -1)
             # no other name or view holds the old layer, so it is freed here,
             # before the new one is allocated: at most two layer-sized arrays
             # are live at once
-            del cur
-            cur = np.zeros((rest, n, len(nxt_masks)), dtype=dtype)
-            for fi, v in enumerate(free):
-                bit = 1 << fi
-                # a next mask holding fi has one source, itself without fi,
-                # so each entry is assigned once
-                has = np.flatnonzero(nxt_masks & bit)
-                src = np.searchsorted(masks, nxt_masks[has] ^ bit)
-                cur[:, v, has] = P[:, v, src]
-            # the last slot's index arrays go too: kept alive into the next
-            # layer, they fragment the heap and raise the peak RSS
-            del P, has, src
-
-        # Closing the cycle takes r-1 forced steps onto the prefix. The last
-        # one lands on the prefix's own frontier; its sum can exceed (n-r)!,
-        # so it is taken in Python ints.
-        for v in prefix[:-1]:
-            P = step(cur)
-            cur = np.zeros_like(P)
-            cur[:, v] = P[:, v]
-        col = cur.reshape(n, rest)[:, start // n]
-        total += sum(map(int, col[T[start // n, prefix[-1]] != 0]))
+            del L
+            L = np.empty((N, ng, len(layers[k + 1]) + 1), dtype=dtype)
+            for t, idx in enumerate(slot_indices):
+                P[t].take(idx, out=L[t], mode="clip")
+            del P
+        total += sum(map(int, L[..., 0][w[r - 1 :].prod(0) != 0].tolist()))
     return total
 
 
 def _estimate_dp_bytes(n: int, r: int, dtype) -> int:
     """Upper bound on the bytes _dp_count_numpy(graph, dtype) holds at once.
 
-    Its widest layer holds two arrays of comb(nfree, nfree//2) masks by
-    n^(r-1) frontier states: the old layer and P during the matmul, P and
-    the new layer during the gather. The gather temporary P[:, v, src] holds
-    at most n^(r-2) entries per mask, counted twice for slack; a slot's index
-    arrays take four int64s per mask. The transition table holds n^r
-    entries; the mask table is 2^nfree int64s, and building it takes two
-    more. An object entry is a pointer to a Python int of at most (n-r)!.
-    64 KiB more covers array headers and small Python objects.
+    Two layers are live at once, L and P during the matmul, P and the next L
+    during the gather, each of at most N * ng * (comb(K, K//2) + 1) entries
+    (see _dp_shape). For r > 2 the gather indices of every layer are kept:
+    N * ng * (M+1) uint16 or int32 entries for a layer of M masks. take
+    casts a slot's gather index to intp, and for r = 2 the index is built as
+    the step runs: six intp per entry of a slot's block cover both. T holds
+    n^r entries, and one intp per entry covers its edge lists. E holds
+    ng * N^2 entries, plus two intp each to build it. The frontier index
+    arrays take 10r intp per frontier (t1, G). The mask table is 2^K int64s,
+    and building it takes two more. An object entry is a pointer to a Python
+    int of at most (n-r)!. 64 KiB more covers array headers and small Python
+    objects.
     """
-    nfree = n - (r - 1)
-    peak_masks = math.comb(nfree, nfree // 2)
+    r, N, K, ng = _dp_shape(n, r)
     item = np.dtype(dtype).itemsize
     if np.dtype(dtype) == object:
         item += sys.getsizeof(math.factorial(n - r))
-    per_mask = (2 * n ** (r - 1) + 2 * n ** (r - 2)) * item + 4 * 8
-    return peak_masks * per_mask + n**r * item + 3 * 8 * 2**nfree + (1 << 16)
+    block = ng * (math.comb(K, K // 2) + 1)
+    indices = 0
+    for k in range(1, K) if r > 2 else ():
+        isize = 2 if ng * (math.comb(K, k) + 1) <= 1 << 16 else 4
+        indices += N * ng * (math.comb(K, k + 1) + 1) * isize
+    return ((2 * N * item + 6 * 8) * block + indices + n**r * (item + 8) + ng * N * N * (item + 16)
+            + 10 * r * 8 * N * ng + 3 * 8 * 2**K + (1 << 16))
 
 
 def exact_ham_count(graph: Hypergraph, mem_gib: float | None = None) -> CountResult:
@@ -223,9 +297,10 @@ def exact_ham_count(graph: Hypergraph, mem_gib: float | None = None) -> CountRes
     need = _estimate_dp_bytes(n, r, dtype)
     budget = _mem_budget_bytes(mem_gib)
     if need > budget:
+        _, N, K, ng = _dp_shape(n, r)
         raise ScaleLimit(
             f"DP needs ~{need / (1 << 30):.2f} GiB "
-            f"(~{math.comb(n - r + 1, (n - r + 1) // 2) * n ** (r - 1):,} peak states), "
+            f"(~{N * ng * math.comb(K, K // 2):,} peak states), "
             f"budget is {budget / (1 << 30):.2f} GiB"
         )
     total = _dp_count_numpy(graph, dtype)

@@ -81,6 +81,23 @@ def test_complete_graph_counts():
             assert exact_ham_count(Hypergraph.complete(n, r)).count == want
 
 
+def test_complete_graph_counts_r5_r6():
+    # n from r+2 to 2r-1 includes every n < 2r-2, where the DP counts the
+    # complements' (n-r)-graph, and n = 2r-2, where it makes no step
+    for r in (5, 6):
+        for n in range(r + 2, 2 * r):
+            assert exact_ham_count(Hypergraph.complete(n, r)).count == math.factorial(n - 1) // 2
+
+
+def test_r5_matches_brute_force():
+    rng = random.Random(55)
+    for n in (7, 8, 9):
+        for p in (0.5, 0.7, 0.9):
+            for _ in range(4):
+                g = random_hypergraph(n, 5, p, rng)
+                assert exact_ham_count(g).count == brute_force_ham_count(g).count
+
+
 def test_cycle_graph_and_empty():
     cycle = Hypergraph.from_edges(6, 2, [(i, (i + 1) % 6) for i in range(6)])
     assert brute_force_ham_count(cycle).count == 1
@@ -106,7 +123,8 @@ def test_oracle_equivalence_random_suite():
 
 def test_numpy_backend_matches_dict_backend():
     rng = random.Random(5)
-    for n, r, p in [(13, 2, 0.5), (13, 3, 0.35), (14, 3, 0.5), (11, 4, 0.5)]:
+    for n, r, p in [(13, 2, 0.5), (13, 3, 0.35), (14, 3, 0.5), (11, 4, 0.5),
+                    (7, 5, 0.8), (9, 5, 0.7)]:
         g = random_hypergraph(n, r, p, rng)
         want = dict_dp_count(g)
         for dtype in (np.float64, np.int64, object):
@@ -139,7 +157,8 @@ def test_dtype_boundary():
 
 def test_memory_estimate_covers_traced_peak():
     for n, r, dtype in [(12, 2, np.float64), (9, 3, np.int64), (10, 3, np.float64),
-                        (9, 4, np.float64), (11, 2, object)]:
+                        (9, 4, np.float64), (11, 2, object), (16, 2, np.float64),
+                        (13, 3, np.float64), (12, 4, np.float64)]:
         g = Hypergraph.complete(n, r)
         tracemalloc.start()
         try:
