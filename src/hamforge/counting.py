@@ -2,11 +2,10 @@
 
 The exact counter anchors cycles at vertex 0 to kill rotations and divides by
 two for reversal, so all 2n symmetric traversals of one cycle collapse to a
-single count. One vectorized subset DP counts at every n and r; one edge
-table steps its frontier, starts it and closes the cycle. Counts are exact
-integers: the DP runs in float64 or int64 while a proven bound on its
-entries, (n-r)!, fits the type exactly, on Python ints (numpy object arrays)
-beyond that, and sums each closure in Python ints.
+single count. One vectorized float64 subset DP counts at every n and r; one
+edge table steps its frontier, starts it and closes the cycle. Counts are
+exact integers: past 2^53 its last steps run modulo coprime moduli, and the
+Chinese remainder theorem joins their closure sums, taken in Python ints.
 """
 
 from __future__ import annotations
@@ -14,13 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateCycle, ScaleLimit
+from .errors import DegenerateCycle, InvalidParams, ScaleLimit
 from .hypercore import Hypergraph
 
 DEFAULT_MEM_GIB = 8.0
@@ -38,9 +36,15 @@ def _default_mem_gib() -> float:
 
 
 def _mem_budget_bytes(mem_gib: float | None = None) -> int:
-    if mem_gib is None:
-        mem_gib = float(os.environ.get("HAMFORGE_MEM_GIB") or _default_mem_gib())
-    return int(mem_gib * (1 << 30))
+    raw = os.environ.get("HAMFORGE_MEM_GIB")
+    if mem_gib is None and raw:
+        try:
+            mem_gib = float(raw)
+        except ValueError:
+            mem_gib = math.nan
+        if not 0 < mem_gib < math.inf:
+            raise InvalidParams(f"HAMFORGE_MEM_GIB must be a finite number > 0, got {raw!r}")
+    return int((_default_mem_gib() if mem_gib is None else mem_gib) * (1 << 30))
 
 
 @dataclass(frozen=True)
@@ -133,47 +137,50 @@ def _dp_shape(n: int, r: int) -> tuple[int, int, int, int]:
     return r, N, N - r + 2, math.perm(N, r - 2)
 
 
-def _dp_dtype(n: int, r: int):
-    """The cheapest dtype in which _dp_count_numpy is exact on n vertices.
+def _dp_moduli(n: int, r: int) -> tuple[int, ...]:
+    """Moduli of _dp_count_numpy's float64 channels; () means one exact channel.
 
-    Every array entry is at most (n-r)!, with r the uniformity _dp_shape
-    gives. With N = n-r+1 free vertices, an entry of L at layer c >= r-1
-    counts orderings of its c placed vertices that end at its frontier
-    (t1, ..., t_{r-1}): at most (c-r+1)!. An entry of P = E @ L fixes only
-    the last r-2 of c+1 vertices: at most (c-r+2)! <= (N-r+1)! for
-    c <= N-1. Start weights and E are 0 or 1, the gather only copies, and
-    (N-r+1)! <= (n-r)!. Entries are non-negative, so partial sums obey the
-    same bounds. The closure sum can reach 2H <= (n-1)!; it is taken in
-    Python ints. float64 is exact up to 2^53, int64 up to 2^63 - 1, and
-    object arrays of Python ints at any size.
+    With r, N and K from _dp_shape, an entry of P = E @ L at step k counts
+    orderings of k+r-1 placed free vertices whose last r-1 are fixed: at
+    most k! <= (K-1)! = (N-r+1)!. L copies P, start weights and E are 0 or
+    1 and nothing is negative, so every partial sum obeys that bound too,
+    and float64 is exact while it is below 2^53. Beyond it, from the step
+    whose k! reaches the least modulus on, P is reduced modulo each
+    m <= 2^53 // N, so a matmul sums N entries below m. The moduli are
+    pairwise coprime with a product above (n-1)! >= 2H, the number of
+    anchored vertex orders, so the CRT recovers 2H.
     """
-    bound = math.factorial(n - _dp_shape(n, r)[0])
-    if bound < 2**53:
-        return np.float64
-    if bound < 2**63:
-        return np.int64
-    return object
+    r, N, _, _ = _dp_shape(n, r)
+    if math.factorial(N - r + 1) < 2**53:
+        return ()
+    moduli, m = [], 2**53 // N
+    while math.prod(moduli) <= math.factorial(n - 1):
+        if math.gcd(m, math.prod(moduli)) == 1:
+            moduli.append(m)
+        m -= 1
+    return tuple(moduli)
 
 
-def _dp_count_numpy(graph: Hypergraph, dtype) -> int:
+def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...]) -> int:
     """Layered vectorized subset DP over the vertices outside an anchored prefix.
 
     Returns twice the cycle count. Each prefix (0, ...) of r-1 vertices
-    leaves N = n-r+1 free vertices, addressed by slot. A layer L[t1, g, u]
-    counts the orderings of its c placed free vertices that pass every window
-    so far and end at the frontier (t1, G). g indexes the injective
-    (r-2)-tuple G = (t2, ..., t_{r-1}) of slots, and u ranks U = S minus G,
-    the placed set S without G, among the subsets of the K = N-r+2 other
-    slots (_mask_layers order). One trailing all-zero u column is kept. With
+    leaves N = n-r+1 free vertices, addressed by slot. A layer L[t1, g, u, c]
+    counts, in channel c, the orderings of its placed free vertices that pass
+    every window so far and end at the frontier (t1, G). g indexes the
+    injective (r-2)-tuple G = (t2, ..., t_{r-1}) of slots, and u ranks the
+    placed set minus G among the subsets of the K = N-r+2 other slots
+    (_mask_layers order), with one trailing all-zero u column. With
     E[g, v, t1] = 1 iff (t1, G, v) is an edge, one batched matmul gives
     P[g, v, u], whose row (g, v) holds the new frontier (G, v). The next
-    layer reads P through one gather index per free slot. The indices depend
-    only on (N, r, layer), so one set serves every prefix of a count. A
-    frontier whose t1 is not in U reads the zero column, so no entry needs
-    zeroing. The DP starts at layer r-1, weighted by the r-1 windows that
-    touch the prefix, and closes with the r-1 windows that wrap around.
-    Below n = 2r-2 it counts the complements' (n-r)-graph; see _dp_shape.
-    Exact when `dtype` is exact up to (n-r)!; see _dp_dtype.
+    layer reads P through one gather index per free slot, shared by every
+    prefix; a frontier whose t1 is not placed reads the zero column, so no
+    entry needs zeroing. The DP starts at layer r-1, weighted by the r-1
+    windows that touch the prefix, and closes with the r-1 that wrap
+    around. Below n = 2r-2 it counts the complements' (n-r)-graph; see
+    _dp_shape. Arrays are float64, in one exact channel until a step's
+    bound k! reaches min(moduli), then one per modulus; the closure sums
+    each channel in Python ints and the CRT joins them; see _dp_moduli.
     """
     n = graph.n
     r, N, K, ng = _dp_shape(n, graph.r)
@@ -181,7 +188,7 @@ def _dp_count_numpy(graph: Hypergraph, dtype) -> int:
         everything = set(range(n))
         graph = Hypergraph.from_edges(n, r, [everything.difference(e) for e in graph.edges])
     layers = _mask_layers(K)
-    T = np.zeros((n,) * r, dtype=dtype)
+    T = np.zeros((n,) * r)
     edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, r).T
     for perm in itertools.permutations(range(r)):
         T[tuple(edges[list(perm)])] = 1
@@ -227,74 +234,79 @@ def _dp_count_numpy(graph: Hypergraph, dtype) -> int:
     # seq[:, t, g] is prefix + F[t, g] + prefix; of its windows the first
     # r-1 weight the start at layer r-1, and the last r-1 close the cycle
     seq = np.empty((3 * r - 3, N, ng), dtype=np.intp)
-    start = (*np.indices((N, ng)), a)
-    total = 0
+    start = (*np.indices((N, ng)), a, 0)
+    fork = min(moduli, default=math.inf)
+    totals = [0]
     for mid in itertools.permutations(range(1, n), r - 2):
         free = np.array([u for u in range(1, n) if u not in mid])
         seq[: r - 1] = seq[2 * r - 2 :] = np.array((0,) + mid)[:, None, None]
         seq[r - 1 : 2 * r - 2] = np.moveaxis(free[F], 2, 0)
         w = T[sum(seq[j : j + 2 * r - 2] * weights[j] for j in range(r))]
-        L = np.zeros((N, ng, K + 1), dtype=dtype)
+        L = np.zeros((N, ng, K + 1, 1))
         L[start] = w[: r - 1].prod(0)
         E = T[(free[G] @ weights[1:-1])[:, None, None] + free[:, None] + free * n ** (r - 1)]
         for k, slot_indices in enumerate(indices, 1):
             # row t of P is the block that slot t's next frontiers read: the
             # rows whose G starts at t (r > 2), or row v = t (r = 2)
-            P = (E @ L.transpose(1, 0, 2)).reshape(N, -1)
+            P = (E @ L.transpose(1, 0, 2, 3).reshape(ng, N, -1)).reshape(N, -1, L.shape[-1])
             # no other name or view holds the old layer, so it is freed here,
             # before the new one is allocated: at most two layer-sized arrays
-            # are live at once
+            # are live at once, and the reduced P at a reducing step
             del L
-            L = np.empty((N, ng, len(layers[k + 1]) + 1), dtype=dtype)
+            if math.factorial(k) >= fork:
+                P = np.fmod(P, np.array(moduli, dtype=np.float64))
+            L = np.empty((N, ng, len(layers[k + 1]) + 1, P.shape[-1]))
             for t, idx in enumerate(slot_indices):
-                P[t].take(idx, out=L[t], mode="clip")
+                P[t].take(idx, axis=0, out=L[t], mode="clip")
             del P
-        total += sum(map(int, L[..., 0][w[r - 1 :].prod(0) != 0].tolist()))
-    return total
+        ends = L[..., 0, :][w[r - 1 :].prod(0) != 0].T.tolist()
+        totals = [s + sum(map(int, ch)) for s, ch in zip(itertools.cycle(totals), ends)]
+    if not moduli:
+        return totals[0]
+    big = math.prod(moduli)  # if no step reduced, the one exact total serves every modulus
+    return sum(t * (big // m) * pow(big // m, -1, m)
+               for m, t in zip(moduli, itertools.cycle(totals))) % big
 
 
-def _estimate_dp_bytes(n: int, r: int, dtype) -> int:
-    """Upper bound on the bytes _dp_count_numpy(graph, dtype) holds at once.
+def _estimate_dp_bytes(n: int, r: int) -> int:
+    """Upper bound on the bytes _dp_count_numpy(graph, _dp_moduli(n, r)) holds.
 
-    Two layers are live at once, L and P during the matmul, P and the next L
-    during the gather, each of at most N * ng * (comb(K, K//2) + 1) entries
-    (see _dp_shape). For r > 2 the gather indices of every layer are kept:
-    N * ng * (M+1) uint16 or int32 entries for a layer of M masks. take
-    casts a slot's gather index to intp, and for r = 2 the index is built as
-    the step runs: six intp per entry of a slot's block cover both. T holds
-    n^r entries, and one intp per entry covers its edge lists. E holds
-    ng * N^2 entries, plus two intp each to build it. The frontier index
-    arrays take 10r intp per frontier (t1, G). The mask table is 2^K int64s,
-    and building it takes two more. An object entry is a pointer to a Python
-    int of at most (n-r)!. 64 KiB more covers array headers and small Python
-    objects.
+    L and P hold e_k = N * ng * (comb(K, k) + 1) float64s per channel at
+    U-layer k (see _dp_shape). Step k holds two arrays at once, in at most
+    c_k channels, P's count after step k: L and P in the matmul, P and its
+    reduction in the fmod, P and the next L in the gather. For r > 2 every
+    layer's gather indices are kept: e_k uint16s or int32s at layer k. take
+    casts a slot's index to intp, and for r = 2 the index is built as the
+    step runs: six intp per entry of a slot's block cover both. T holds n^r
+    entries, plus an intp each for its edge lists; E holds ng * N^2, plus
+    two intp each to build it. The frontier index arrays take 10r intp per
+    frontier, the mask table 2^K int64s and its build two more. 64 KiB
+    covers array headers and small Python objects.
     """
+    moduli = _dp_moduli(n, r)
+    fork = min(moduli, default=math.inf)
     r, N, K, ng = _dp_shape(n, r)
-    item = np.dtype(dtype).itemsize
-    if np.dtype(dtype) == object:
-        item += sys.getsizeof(math.factorial(n - r))
-    block = ng * (math.comb(K, K // 2) + 1)
-    indices = 0
-    for k in range(1, K) if r > 2 else ():
-        isize = 2 if ng * (math.comb(K, k) + 1) <= 1 << 16 else 4
-        indices += N * ng * (math.comb(K, k + 1) + 1) * isize
-    return ((2 * N * item + 6 * 8) * block + indices + n**r * (item + 8) + ng * N * N * (item + 16)
+    e = [N * ng * (math.comb(K, k) + 1) for k in range(K + 1)]
+    layers = max(((e[k] + max(e[k], e[k + 1])) * (len(moduli) if math.factorial(k) >= fork else 1)
+                  for k in range(1, K)), default=e[1])
+    indices = sum(e[k + 1] * (2 if ng * (math.comb(K, k) + 1) <= 1 << 16 else 4)
+                  for k in range(1, K)) if r > 2 else 0
+    return (8 * layers + 48 * e[K // 2] // N + indices + n**r * 16 + ng * N * N * 24
             + 10 * r * 8 * N * ng + 3 * 8 * 2**K + (1 << 16))
 
 
 def exact_ham_count(graph: Hypergraph, mem_gib: float | None = None) -> CountResult:
     """Exact Hamiltonian cycle count via subset DP with an ordered (r-1)-frontier.
 
-    Equals brute_force_ham_count on its whole domain. One DP serves every n;
-    its dtype is the cheapest one that is exact for n (_dp_dtype). Raises
-    ScaleLimit with a state-count estimate when the DP would exceed the memory
-    budget: min(8 GiB, half of MemAvailable) by default, or HAMFORGE_MEM_GIB.
+    Equals brute_force_ham_count on its whole domain; one float64 DP serves
+    every n (_dp_moduli). Raises ScaleLimit with a state-count estimate when
+    the DP would exceed the memory budget: min(8 GiB, half of MemAvailable)
+    by default, or HAMFORGE_MEM_GIB, which must be a finite number > 0.
     """
     n, r = graph.n, graph.r
     if n < r + 2:
         raise DegenerateCycle(f"need n >= r+2 (got n={n}, r={r})")
-    dtype = _dp_dtype(n, r)
-    need = _estimate_dp_bytes(n, r, dtype)
+    need = _estimate_dp_bytes(n, r)
     budget = _mem_budget_bytes(mem_gib)
     if need > budget:
         _, N, K, ng = _dp_shape(n, r)
@@ -303,7 +315,7 @@ def exact_ham_count(graph: Hypergraph, mem_gib: float | None = None) -> CountRes
             f"(~{N * ng * math.comb(K, K // 2):,} peak states), "
             f"budget is {budget / (1 << 30):.2f} GiB"
         )
-    total = _dp_count_numpy(graph, dtype)
+    total = _dp_count_numpy(graph, _dp_moduli(n, r))
     assert total % 2 == 0
     return CountResult(count=total // 2, method="subset_dp")
 
@@ -356,14 +368,7 @@ def permanent(matrix) -> int:
         else:
             for i in range(n):
                 rowsums[i] -= col[i]
-        prod = 1
-        for s in rowsums:
-            if s == 0:
-                prod = 0
-                break
-            prod *= s
-        if prod:
-            total += sign * prod
+        total += sign * math.prod(rowsums)
     # sign bookkeeping above tracks (-1)^{|S|}; overall factor (-1)^n
     return total if n % 2 == 0 else -total
 
@@ -374,12 +379,7 @@ def permanent_brute_force(matrix) -> int:
     n = len(a)
     total = 0
     for perm in itertools.permutations(range(n)):
-        prod = 1
-        for i, j in enumerate(perm):
-            prod *= a[i][j]
-            if prod == 0:
-                break
-        total += prod
+        total += math.prod(a[i][j] for i, j in enumerate(perm))
     return total
 
 
@@ -423,9 +423,7 @@ def two_factor_profile(graph: Hypergraph, limit: int = 10) -> TwoFactorProfile:
         # Count each cycle once by requiring second vertex < last vertex.
         def extend(path: tuple[int, ...], used: frozenset):
             last = path[-1]
-            for u in adj[last] & uncovered:
-                if u in used:
-                    continue
+            for u in adj[last] & uncovered - used:
                 new_path = path + (u,)
                 if len(new_path) >= 3 and v in adj[u] and new_path[1] < u:
                     for k, c in profiles(uncovered - frozenset(new_path)):

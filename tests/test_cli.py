@@ -99,6 +99,18 @@ def test_exit_codes(tmp_path, capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1"])
+def test_bad_mem_budget_exits_2(tmp_path, capsys, monkeypatch, value):
+    graph = tmp_path / "k7.txt"
+    run(["construct", "--kind", "complete", "--n", 7, "--r", 3, "--out", graph])
+    capsys.readouterr()
+    monkeypatch.setenv("HAMFORGE_MEM_GIB", value)
+    assert run(["count", "--in", graph]) == 2
+    assert capsys.readouterr().err == (
+        f"InvalidParams: HAMFORGE_MEM_GIB must be a finite number > 0, got {value!r}\n"
+    )
+
+
 def test_domain_error_verbatim(tmp_path, capsys):
     design = tmp_path / "d.txt"
     run(["steiner", "--q", 2, "--s", 2, "--out", design])

@@ -4,7 +4,6 @@ import os
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from hamforge import counting
@@ -21,7 +20,8 @@ from hamforge.counting import (
     permanent_brute_force,
     two_factor_profile,
     _dp_count_numpy,
-    _dp_dtype,
+    _dp_moduli,
+    _dp_shape,
     _estimate_dp_bytes,
     _mem_budget_bytes,
 )
@@ -122,13 +122,16 @@ def test_oracle_equivalence_random_suite():
 
 
 def test_numpy_backend_matches_dict_backend():
+    # ten primes whose product, about 1.2e21, exceeds 13! >= 2H here: from
+    # the step whose bound k! reaches 101 the DP runs ten residue channels
+    primes = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
     rng = random.Random(5)
     for n, r, p in [(13, 2, 0.5), (13, 3, 0.35), (14, 3, 0.5), (11, 4, 0.5),
                     (7, 5, 0.8), (9, 5, 0.7)]:
         g = random_hypergraph(n, r, p, rng)
         want = dict_dp_count(g)
-        for dtype in (np.float64, np.int64, object):
-            assert _dp_count_numpy(g, dtype) == want
+        for moduli in ((), primes):
+            assert _dp_count_numpy(g, moduli) == want
 
 
 def test_relabeling_that_moves_the_anchor_keeps_the_count():
@@ -144,29 +147,48 @@ def test_relabeling_that_moves_the_anchor_keeps_the_count():
         assert exact_ham_count(moved).count == want
 
 
-def test_dtype_boundary():
-    # (n-2)! for r=2: 18! < 2^53 < 19! < 2^63 < 21!
-    assert _dp_dtype(20, 2) is np.float64
-    assert _dp_dtype(21, 2) is np.int64
-    assert exact_ham_count(Hypergraph.complete(20, 2)).count == math.factorial(19) // 2
-    assert exact_ham_count(Hypergraph.complete(21, 2)).count == math.factorial(20) // 2
-    assert _dp_dtype(22, 2) is np.int64
-    assert _dp_dtype(23, 2) is object
-    assert _dp_dtype(24, 3) is object
+def test_channel_boundary():
+    # (N-r+1)! = (n-2)! for r=2: 18! < 2^53 < 19!
+    assert _dp_moduli(20, 2) == ()
+    assert len(_dp_moduli(21, 2)) == 2
+    for n in (20, 21, 23):
+        assert exact_ham_count(Hypergraph.complete(n, 2)).count == math.factorial(n - 1) // 2
+
+
+def test_moduli_are_coprime_small_and_cover_the_count():
+    for r in range(2, 7):
+        for n in range(r + 2, 41):
+            moduli = _dp_moduli(n, r)
+            rr, N, _, _ = _dp_shape(n, r)
+            assert (moduli == ()) == (math.factorial(N - rr + 1) < 2**53), (n, r)
+            if moduli:
+                assert all(2 <= m <= 2**53 // N for m in moduli)
+                assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
+                assert math.prod(moduli) > math.factorial(n - 1)
+
+
+def test_residue_channels_give_exact_ints():
+    # a dense G_2(21, p=0.9) whose 2H has no float64 representation, so a
+    # closure or CRT taken in floats rounds it; three moduli near 10^7 fork
+    # the channels early and must give the same int as the production pair
+    g = random_hypergraph(21, 2, 0.9, random.Random(4))
+    count = exact_ham_count(g).count
+    assert type(count) is int
+    assert float(2 * count) != 2 * count
+    assert _dp_count_numpy(g, (10**7 + 19, 10**7 + 79, 10**7 + 103)) == 2 * count
 
 
 def test_memory_estimate_covers_traced_peak():
-    for n, r, dtype in [(12, 2, np.float64), (9, 3, np.int64), (10, 3, np.float64),
-                        (9, 4, np.float64), (11, 2, object), (16, 2, np.float64),
-                        (13, 3, np.float64), (12, 4, np.float64)]:
+    # K_21^2 runs its last steps in two channels
+    for n, r in [(12, 2), (9, 3), (10, 3), (9, 4), (16, 2), (13, 3), (12, 4), (21, 2)]:
         g = Hypergraph.complete(n, r)
         tracemalloc.start()
         try:
-            _dp_count_numpy(g, dtype)
+            _dp_count_numpy(g, _dp_moduli(n, r))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= _estimate_dp_bytes(n, r, dtype), (n, r, dtype, peak)
+        assert peak <= _estimate_dp_bytes(n, r), (n, r, peak)
 
 
 def _mem_available_bytes():
