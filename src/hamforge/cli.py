@@ -1,11 +1,12 @@
 """Experiment harness: subcommands wiring constructions, designs, families,
 builders, counters, and estimators into seeded, reproducible reports.
 
-Exit codes: 0 success, 1 usage error, 2 typed domain error. With --workers 1
-and a fixed seed every report is byte-identical across runs; --workers w > 1
-reseeds the sampling streams (statistically identical, not byte-identical
-with the w = 1 run). Reports embed their full run configuration and carry no
-timestamps.
+Exit codes: 0 success, 1 usage error, 2 typed domain error. Every random
+stream is Random("{seed}:{label}"), so with a fixed seed every report is
+byte-identical across runs. `experiment --workers w` runs a preset's
+independently seeded parts in up to w processes; each part owns its stream,
+so the report is the same for every w. Reports embed their run configuration
+and carry no timestamps.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from random import Random
 
@@ -39,10 +42,35 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _stream_rng(seed: int, workers: int, label: str) -> Random:
-    if workers == 1:
-        return Random(f"{seed}:{label}")
-    return Random(f"{seed}:w{workers}:{label}")
+def _stream_rng(seed: int, label: str) -> Random:
+    return Random(f"{seed}:{label}")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _run_parts(parts: list, workers: int) -> list:
+    """Call each zero-argument part and return the results in part order.
+
+    Each part draws only from its own seeded stream, so the results do not
+    depend on how many processes run them: min(workers, CPUs, parts) spawned
+    processes, or the calling process alone when that is 1. The pool module
+    is imported here, not at the top, because every `hamforge` command would
+    pay for it.
+    """
+    procs = min(workers, os.cpu_count() or 1, len(parts))
+    if procs == 1:
+        return [part() for part in parts]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = [pool.submit(part) for part in parts]
+        return [future.result() for future in futures]
 
 
 def _dump_json(data: dict, out: str | None) -> None:
@@ -136,7 +164,7 @@ def cmd_pack(args) -> int:
         params = packing.PackingParams.direct(
             args.n, args.r, args.k, q=args.q, K=args.K, M=args.M, tau=args.tau
         )
-    rng = _stream_rng(args.seed, args.workers, "pack")
+    rng = _stream_rng(args.seed, "pack")
     built, stats = packing.build_random_packing(params, rng, retries=args.retries)
     buf = io.StringIO()
     packing.write_packing(built, buf)
@@ -151,7 +179,7 @@ def cmd_pack(args) -> int:
 
 
 def cmd_family(args) -> int:
-    rng = _stream_rng(args.seed, args.workers, "family")
+    rng = _stream_rng(args.seed, "family")
     if args.design:
         with open(args.design) as fh:
             system = geometry.read_design(fh)
@@ -171,7 +199,7 @@ def cmd_family(args) -> int:
 def cmd_build(args) -> int:
     fam = _read_family(args.family)
     spec = randmodels.DensitySpec(args.l, fam.k)
-    rng = _stream_rng(args.seed, args.workers, "build")
+    rng = _stream_rng(args.seed, "build")
     graph = randmodels.build_quasirandom_from_partition(fam, spec, rng)
     _write_graph(graph, args.out)
     return 0
@@ -180,7 +208,7 @@ def cmd_build(args) -> int:
 def cmd_audit(args) -> int:
     graph = _read_graph(getattr(args, "in"))
     p = randmodels.DensitySpec.parse(args.p).as_float() if args.p else None
-    rng = _stream_rng(args.seed, args.workers, "audit")
+    rng = _stream_rng(args.seed, "audit")
     report = randmodels.audit_quasirandomness(
         graph, epsilon=args.eps, samples=args.samples, rng=rng, p=p, seed=args.seed
     )
@@ -196,7 +224,7 @@ def cmd_audit(args) -> int:
 def cmd_estimate(args) -> int:
     fam = _read_family(args.family)
     spec = randmodels.DensitySpec.parse(args.p)
-    rng = _stream_rng(args.seed, args.workers, "estimate")
+    rng = _stream_rng(args.seed, "estimate")
     report = estimators.mc_fbar_and_bound(
         fam, spec, args.samples, rng, family_label=args.family, seed=args.seed
     )
@@ -269,7 +297,7 @@ def preset_turan_subsample(args) -> dict:
     q_dens = Fraction(graph.edge_count, math.comb(n, r))
     p = Fraction(1, 2)
     bound = float((p / q_dens) ** n) * math.exp(-2 / float(p)) * h_full
-    rng = _stream_rng(args.seed, args.workers, "turan-subsample")
+    rng = _stream_rng(args.seed, "turan-subsample")
     values = []
     for _ in range(samples):
         sub = randmodels.sample_exact_density_subgraph(graph, p, rng)
@@ -290,26 +318,27 @@ def preset_turan_subsample(args) -> dict:
     }
 
 
+def _gnm_counts(n: int, r: int, m: int, draws: int, rng: Random) -> list[int]:
+    """Exact counts of `draws` G_r(n, m) samples drawn from one stream."""
+    return [
+        counting.exact_ham_count(randmodels.sample_gnm(n, r, m, rng)).count
+        for _ in range(draws)
+    ]
+
+
 def preset_steiner17_half(args) -> tuple[dict, list[dict]]:
     samples = args.samples or 20000
     builds = args.builds or 100
     system = geometry.build_spherical_steiner(2, 4)
-    fam = packing.family_from_design(
-        system, 2, rng=_stream_rng(args.seed, args.workers, "family")
-    )
+    fam = packing.family_from_design(system, 2, rng=_stream_rng(args.seed, "family"))
     spec = randmodels.DensitySpec(1, 2)
-    est = estimators.mc_fbar_and_bound(
-        fam, spec, samples, _stream_rng(args.seed, args.workers, "estimate"),
-        family_label="S(3,3,17)/k=2", seed=args.seed,
-    )
-    builds_report = estimators.mc_expected_H(
-        fam, spec, builds, _stream_rng(args.seed, args.workers, "builds")
-    )
-    base_rng = _stream_rng(args.seed, args.workers, "baseline")
-    baseline = [
-        counting.exact_ham_count(randmodels.sample_gnm(17, 3, 340, base_rng)).count
-        for _ in range(builds)
-    ]
+    est, builds_report, baseline = _run_parts([
+        partial(estimators.mc_fbar_and_bound, fam, spec, samples,
+                _stream_rng(args.seed, "estimate"), family_label="S(3,3,17)/k=2",
+                seed=args.seed),
+        partial(estimators.mc_expected_H, fam, spec, builds, _stream_rng(args.seed, "builds")),
+        partial(_gnm_counts, 17, 3, 340, builds, _stream_rng(args.seed, "baseline")),
+    ], args.workers)
     base_mean = sum(baseline) / len(baseline)
 
     # the bound estimate and the build mean both carry Monte Carlo noise;
@@ -317,9 +346,9 @@ def preset_steiner17_half(args) -> tuple[dict, list[dict]]:
     good = 1.0 - est.bad_fraction.mean
     log2_bound_lo = (
         math.log2(max(good - est.bad_fraction.ci3, 1e-12))
-        + math.lgamma(18) / math.log(2)
-        - math.log2(34)
-        + (est.fbar.mean + est.fbar.ci3) * math.log2(0.5)
+        + math.lgamma(est.n + 1) / math.log(2)
+        - math.log2(2 * est.n)
+        + (est.fbar.mean + est.fbar.ci3) * math.log2(spec.as_float())
     )
     sigma_bound = (est.bound_linear - 2.0**log2_bound_lo) / 3
     mean_est = builds_report.mean_estimate()
@@ -347,24 +376,25 @@ def preset_steiner17_half(args) -> tuple[dict, list[dict]]:
     return report, rows
 
 
+def _pack_run(params: packing.PackingParams, run: int, retries: int, rng: Random) -> dict:
+    """One direct-mode packing build, summarised whether or not it succeeds."""
+    try:
+        built, stats = packing.build_random_packing(params, rng, retries=retries)
+    except HamforgeError as exc:
+        return {"run": run, "success": False,
+                "failures": getattr(exc, "failure_counts", {}), "error": type(exc).__name__}
+    return {"run": run, "success": True, "attempts": stats.attempts,
+            "failures": stats.failure_counts, "z": built.z}
+
+
 def preset_packing_direct(args) -> dict:
     runs = args.runs or 20
     retries = args.retries or 50
     params = packing.PackingParams.direct(n=60, r=3, k=3, q=8, K=210, M=3, tau=2)
-    results = []
-    for run in range(runs):
-        rng = _stream_rng(args.seed, args.workers, f"pack-run{run}")
-        try:
-            built, stats = packing.build_random_packing(params, rng, retries=retries)
-            results.append(
-                {"run": run, "success": True, "attempts": stats.attempts,
-                 "failures": stats.failure_counts, "z": built.z}
-            )
-        except HamforgeError as exc:
-            results.append(
-                {"run": run, "success": False,
-                 "failures": getattr(exc, "failure_counts", {}), "error": type(exc).__name__}
-            )
+    results = _run_parts([
+        partial(_pack_run, params, run, retries, _stream_rng(args.seed, f"pack-run{run}"))
+        for run in range(runs)
+    ], args.workers)
     successes = sum(1 for r in results if r["success"])
     return {
         "params": {"n": 60, "r": 3, "k": 3, "q": 8, "K": 210, "M": 3, "tau": 2},
@@ -388,7 +418,7 @@ def preset_multipartite_words(args) -> dict:
                 all_equal = all_equal and formula == enum
     n, k, r = 9, 4, 3
     graph = constructions.multipartite_rgraph(n, k, r)
-    rng = _stream_rng(args.seed, args.workers, "words")
+    rng = _stream_rng(args.seed, "words")
     cycles = constructions.sample_good_cycles(n, k, r, 50, rng)
     valid = all(
         all(w in graph.edges for w in hypercore.window_set(c.representative, r).windows)
@@ -410,7 +440,7 @@ def cmd_experiment(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = {
-        "preset": args.preset, "seed": args.seed, "workers": args.workers,
+        "preset": args.preset, "seed": args.seed,
         "samples": args.samples, "builds": args.builds, "runs": args.runs,
         "retries": args.retries,
     }
@@ -477,7 +507,6 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=float)
     p.add_argument("--retries", type=int, default=50)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pack)
 
@@ -487,7 +516,6 @@ def build_parser() -> _Parser:
     src.add_argument("--packing")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_family)
 
@@ -495,7 +523,6 @@ def build_parser() -> _Parser:
     p.add_argument("--family", required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 
@@ -505,7 +532,6 @@ def build_parser() -> _Parser:
     p.add_argument("--p", help="target density NUM/DEN (default: the graph's density)")
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_audit)
@@ -515,7 +541,6 @@ def build_parser() -> _Parser:
     p.add_argument("--p", required=True, help="density NUM/DEN; DEN must equal the family's k")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_estimate)
@@ -527,7 +552,8 @@ def build_parser() -> _Parser:
     p.add_argument("--builds", type=int)
     p.add_argument("--runs", type=int)
     p.add_argument("--retries", type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="processes for the preset's independently seeded parts")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_experiment)
 

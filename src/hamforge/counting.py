@@ -35,16 +35,17 @@ def _default_mem_gib() -> float:
     return min(DEFAULT_MEM_GIB, kib / 2 / (1 << 20))
 
 
-def _mem_budget_bytes(mem_gib: float | None = None) -> int:
+def _mem_budget_bytes() -> int:
     raw = os.environ.get("HAMFORGE_MEM_GIB")
-    if mem_gib is None and raw:
-        try:
-            mem_gib = float(raw)
-        except ValueError:
-            mem_gib = math.nan
-        if not 0 < mem_gib < math.inf:
-            raise InvalidParams(f"HAMFORGE_MEM_GIB must be a finite number > 0, got {raw!r}")
-    return int((_default_mem_gib() if mem_gib is None else mem_gib) * (1 << 30))
+    if not raw:
+        return int(_default_mem_gib() * (1 << 30))
+    try:
+        mem_gib = float(raw)
+    except ValueError:
+        mem_gib = math.nan
+    if not 0 < mem_gib < math.inf:
+        raise InvalidParams(f"HAMFORGE_MEM_GIB must be a finite number > 0, got {raw!r}")
+    return int(mem_gib * (1 << 30))
 
 
 @dataclass(frozen=True)
@@ -295,7 +296,7 @@ def _estimate_dp_bytes(n: int, r: int) -> int:
             + 10 * r * 8 * N * ng + 3 * 8 * 2**K + (1 << 16))
 
 
-def exact_ham_count(graph: Hypergraph, mem_gib: float | None = None) -> CountResult:
+def exact_ham_count(graph: Hypergraph) -> CountResult:
     """Exact Hamiltonian cycle count via subset DP with an ordered (r-1)-frontier.
 
     Equals brute_force_ham_count on its whole domain; one float64 DP serves
@@ -307,7 +308,7 @@ def exact_ham_count(graph: Hypergraph, mem_gib: float | None = None) -> CountRes
     if n < r + 2:
         raise DegenerateCycle(f"need n >= r+2 (got n={n}, r={r})")
     need = _estimate_dp_bytes(n, r)
-    budget = _mem_budget_bytes(mem_gib)
+    budget = _mem_budget_bytes()
     if need > budget:
         _, N, K, ng = _dp_shape(n, r)
         raise ScaleLimit(

@@ -660,10 +660,22 @@ def read_packing(stream: TextIO) -> Packing:
         edge_sets.append(tuple(edges))
     lineno += 1
     w_header = stream.readline().split()
-    if len(w_header) != 2 or w_header[0] != "W":
+    if len(w_header) != 2 or w_header[0] != "W" or not w_header[1].isdecimal():
         raise ParseError(f"line {lineno}: expected leftover header 'W m'")
-    return Packing(
+    packing = Packing(
         n=n, r=r, q=q, k=k, z=z,
         vertex_sets=tuple(vertex_sets),
         edge_sets=tuple(edge_sets),
     )
+    leftovers = leftover_edges(packing)
+    if int(w_header[1]) != len(leftovers):
+        raise ParseError(
+            f"line {lineno}: W block lists {int(w_header[1])} edges, "
+            f"the packing leaves {len(leftovers)}"
+        )
+    for want in leftovers:
+        lineno += 1
+        e = _read_vertices(stream, lineno, n)
+        if e != want:
+            raise ParseError(f"line {lineno}: expected leftover edge {' '.join(map(str, want))}")
+    return packing

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -167,6 +168,32 @@ def test_malformed_packing_exits_2(tmp_path, capsys, vertex_line):
     assert "ParseError" in err and "line 2" in err and "Traceback" not in err
 
 
+def _cut_w_block(lines):
+    w = next(i for i, line in enumerate(lines) if line.startswith("W "))
+    return [
+        (lines[:-1], len(lines), "expected leftover edge"),  # truncated inside the block
+        (lines[:w], w + 1, "expected leftover header"),  # block missing
+        (lines[:w] + ["W x"] + lines[w + 1:], w + 1, "expected leftover header"),
+        (lines[:w] + [f"W {len(lines) - w}"] + lines[w + 1:], w + 1, "W block lists"),
+        (lines[:w + 1] + [lines[w + 2], lines[w + 1]] + lines[w + 3:], w + 2,
+         "expected leftover edge"),
+    ]
+
+
+def test_packing_w_block_is_checked(tmp_path, capsys):
+    good = tmp_path / "p.txt"
+    assert run(["pack", "--n", 12, "--r", 3, "--k", 2, "--q", 4, "--K", 4, "--M", 1,
+                "--tau", 1, "--seed", 2, "--out", good]) == 0
+    bad = tmp_path / "bad.txt"
+    for lines, lineno, message in _cut_w_block(good.read_text().splitlines()):
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["family", "--packing", bad, "--k", 2, "--seed", 1,
+                    "--out", tmp_path / "f.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ParseError: line {lineno}: {message}"), err
+
+
 def test_truncated_family_json_exits_2(tmp_path, capsys):
     design = tmp_path / "d.txt"
     fam = tmp_path / "fam.json"
@@ -178,3 +205,56 @@ def test_truncated_family_json_exits_2(tmp_path, capsys):
                 "--seed", 5]) == 2
     err = capsys.readouterr().err
     assert "ParseError" in err and "Traceback" not in err
+
+
+def _experiment_files(out_dir, preset, workers, extra):
+    assert run(["experiment", "--preset", preset, "--seed", 42, "--workers", workers,
+                "--out-dir", out_dir, *extra]) == 0
+    assert multiprocessing.active_children() == []  # the pool is joined
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("preset, extra", [
+    ("steiner17-half", ["--samples", 300, "--builds", 2]),
+    ("packing-direct", ["--runs", 2, "--retries", 2]),
+])
+def test_experiment_report_is_the_same_for_every_worker_count(tmp_path, capsys, preset, extra):
+    files = [_experiment_files(tmp_path / f"w{w}", preset, w, extra) for w in (1, 2, 3)]
+    assert files[0] and files[0] == files[1] == files[2]
+    assert "workers" not in json.loads(files[0][f"{preset}-report.json"])["config"]
+
+
+def test_worker_domain_error_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HAMFORGE_MEM_GIB", "0.0001")
+    errs = []
+    for w in (1, 2):
+        assert run(["experiment", "--preset", "steiner17-half", "--seed", 42, "--samples", 300,
+                    "--builds", 2, "--workers", w, "--out-dir", tmp_path]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0].startswith("ScaleLimit: ") and errs[0] == errs[1]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_experiment_workers_below_1_is_a_usage_error(tmp_path, capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        run(["experiment", "--preset", "crown-lower-bound", "--seed", 1,
+             "--workers", workers, "--out-dir", tmp_path])
+    assert exc.value.code == 1
+    assert f"must be >= 1, got {workers}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pack", "--n", 12, "--r", 3, "--k", 2, "--q", 4, "--K", 4, "--M", 1, "--tau", 1,
+     "--seed", 1, "--out", "p.txt"],
+    ["family", "--design", "d.txt", "--k", 2, "--seed", 1, "--out", "f.json"],
+    ["build", "--family", "f.json", "--l", 1, "--seed", 1, "--out", "g.txt"],
+    ["audit", "--in", "g.txt", "--eps", 0.25, "--seed", 1],
+    ["estimate", "--family", "f.json", "--p", "1/2", "--seed", 1],
+])
+def test_workers_only_on_experiment(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--workers", 2])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err

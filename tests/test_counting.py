@@ -227,11 +227,12 @@ def test_monotone_under_edge_addition():
         assert exact_ham_count(bigger).count >= exact_ham_count(g).count
 
 
-def test_scale_limits():
+def test_scale_limits(monkeypatch):
     with pytest.raises(ScaleLimit):
         brute_force_ham_count(Hypergraph.complete(11, 3))
+    monkeypatch.setenv("HAMFORGE_MEM_GIB", "0.001")
     with pytest.raises(ScaleLimit) as err:
-        exact_ham_count(Hypergraph.complete(24, 3), mem_gib=0.001)
+        exact_ham_count(Hypergraph.complete(24, 3))
     assert "states" in str(err.value)
 
 
