@@ -55,10 +55,8 @@ from .estimators import (
     Classification,
     EstimateReport,
     classify,
-    mc_bad_fraction,
     mc_expected_H,
     mc_fbar_and_bound,
-    mc_gbar_star,
 )
 
 __version__ = "0.1.0"

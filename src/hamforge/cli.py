@@ -298,23 +298,20 @@ def preset_turan_subsample(args) -> dict:
     p = Fraction(1, 2)
     bound = float((p / q_dens) ** n) * math.exp(-2 / float(p)) * h_full
     rng = _stream_rng(args.seed, "turan-subsample")
-    values = []
-    for _ in range(samples):
-        sub = randmodels.sample_exact_density_subgraph(graph, p, rng)
-        values.append(counting.exact_ham_count(sub).count)
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / len(values)
-    ci3 = 3 * math.sqrt(var / len(values))
+    est = estimators.Estimate.of([
+        counting.exact_ham_count(randmodels.sample_exact_density_subgraph(graph, p, rng)).count
+        for _ in range(samples)
+    ])
     return {
         "n": n, "k": k, "r": r,
         "p": "1/2",
         "graph_density": f"{q_dens.numerator}/{q_dens.denominator}",
         "H_full": h_full,
         "samples": samples,
-        "mean_H": mean,
-        "mean_H_ci3": ci3,
+        "mean_H": est.mean,
+        "mean_H_ci3": est.ci3,
         "subsample_lower_bound": bound,
-        "mean_ge_bound": mean >= bound,
+        "mean_ge_bound": est.mean >= bound,
     }
 
 
@@ -344,11 +341,9 @@ def preset_steiner17_half(args) -> tuple[dict, list[dict]]:
     # the bound estimate and the build mean both carry Monte Carlo noise;
     # compare through a combined 3-sigma margin (at q=2 the bound is tight)
     good = 1.0 - est.bad_fraction.mean
-    log2_bound_lo = (
-        math.log2(max(good - est.bad_fraction.ci3, 1e-12))
-        + math.lgamma(est.n + 1) / math.log(2)
-        - math.log2(2 * est.n)
-        + (est.fbar.mean + est.fbar.ci3) * math.log2(spec.as_float())
+    log2_bound_lo = estimators.log2_amgm_bound(
+        max(good - est.bad_fraction.ci3, 1e-12), est.n,
+        est.fbar.mean + est.fbar.ci3, spec.as_float(),
     )
     sigma_bound = (est.bound_linear - 2.0**log2_bound_lo) / 3
     mean_est = builds_report.mean_estimate()
@@ -548,10 +543,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="run a named preset end to end")
     p.add_argument("--preset", choices=PRESETS, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--builds", type=int)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--retries", type=int)
+    p.add_argument("--samples", type=_positive_int)
+    p.add_argument("--builds", type=_positive_int)
+    p.add_argument("--runs", type=_positive_int)
+    p.add_argument("--retries", type=_positive_int)
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="processes for the preset's independently seeded parts")
     p.add_argument("--out-dir", default=".")

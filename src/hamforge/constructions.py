@@ -24,6 +24,9 @@ from .hypercore import CanonicalCycle, Hypergraph, canonicalize
 
 Word = tuple[int, ...]
 
+WORD_RESTARTS = 20000  # restarts of either word sampler before ExtensionFailed
+CYCLE_ATTEMPTS = 200  # good-word draws per requested cycle in sample_good_cycles
+
 
 # ---------------------------------------------------------------------------
 # crown graphs
@@ -360,11 +363,11 @@ def word_to_permutation(word: Sequence[int], parts: Sequence[Sequence[int]],
 
 
 def sample_good_word(n: int, k: int, r: int, part_sizes: Sequence[int],
-                     rng: Random, max_restarts: int = 20000) -> Word:
+                     rng: Random) -> Word:
     """Quota-constrained sequential sampler for good words, with restarts."""
     if k <= r:
         raise InvalidParams(f"need k > r, got k={k}, r={r}")
-    for _ in range(max_restarts):
+    for _ in range(WORD_RESTARTS):
         remaining = list(part_sizes)
         word: list[int] = []
         dead = False
@@ -381,17 +384,16 @@ def sample_good_word(n: int, k: int, r: int, part_sizes: Sequence[int],
             continue
         if is_cyclically_admissible(word, r):
             return tuple(word)
-    raise ExtensionFailed(f"no good word found in {max_restarts} restarts")
+    raise ExtensionFailed(f"no good word found in {WORD_RESTARTS} restarts")
 
 
-def sample_feasible_word(t: int, k: int, r: int, rng: Random,
-                         max_restarts: int = 20000) -> Word:
+def sample_feasible_word(t: int, k: int, r: int, rng: Random) -> Word:
     """Uniform admissible word accepted when every letter count is within
     k*sqrt(t) of t/k."""
     if k < r:
         raise InvalidParams(f"need k >= r, got k={k}, r={r}")
     slack = k * math.sqrt(t)
-    for _ in range(max_restarts):
+    for _ in range(WORD_RESTARTS):
         word: list[int] = []
         for _pos in range(t):
             recent = set(word[-(r - 1):])
@@ -400,19 +402,17 @@ def sample_feasible_word(t: int, k: int, r: int, rng: Random,
         counts = Counter(word)
         if all(abs(counts.get(l, 0) - t / k) <= slack for l in range(k)):
             return tuple(word)
-    raise ExtensionFailed(f"no feasible word found in {max_restarts} restarts")
+    raise ExtensionFailed(f"no feasible word found in {WORD_RESTARTS} restarts")
 
 
-def sample_good_cycles(n: int, k: int, r: int, count: int, rng: Random,
-                       max_attempts: int | None = None) -> list[CanonicalCycle]:
+def sample_good_cycles(n: int, k: int, r: int, count: int, rng: Random) -> list[CanonicalCycle]:
     """Distinct Hamiltonian cycles of the balanced multipartite r-graph,
     sampled through good words."""
     if count == 0:
         return []
     parts = multipartite_parts(n, k)
     part_sizes = [len(p) for p in parts]
-    if max_attempts is None:
-        max_attempts = 200 * count
+    max_attempts = CYCLE_ATTEMPTS * count
     seen: dict[tuple[int, ...], CanonicalCycle] = {}
     for _ in range(max_attempts):
         word = sample_good_word(n, k, r, part_sizes, rng)

@@ -1,6 +1,7 @@
-"""Good/bad permutation classification and the Monte Carlo estimators for
-bad fractions, f-bar, g-bar, and the arithmetic-geometric-mean lower bound
-on the expected Hamiltonian count of group-choice builds.
+"""Good/bad permutation classification, the one Monte Carlo pass that reads
+the bad fraction, f-bar, g-bar and g-bar-star off uniform permutations, and
+the arithmetic-geometric-mean lower bound on the expected Hamiltonian count
+of group-choice builds.
 
 A permutation is good when no group of the family holds two of its windows
 in distinct members; f counts the groups its windows touch, g counts cyclic
@@ -95,40 +96,24 @@ class Estimate:
     ci3: float
     samples: int
 
+    @classmethod
+    def of(cls, values) -> "Estimate":
+        """Mean of `values` and 3 sqrt(var/n), var the population variance."""
+        n = len(values)
+        if n == 0:
+            raise InvalidParams("no samples")
+        mean = sum(values) / n
+        var = sum((x - mean) ** 2 for x in values) / n
+        return cls(mean=mean, ci3=3 * math.sqrt(var / n), samples=n)
+
     def to_json_dict(self) -> dict:
         return {"mean": self.mean, "ci3": self.ci3, "samples": self.samples}
-
-
-def _estimate(values) -> Estimate:
-    n = len(values)
-    if n == 0:
-        raise InvalidParams("no samples")
-    mean = sum(values) / n
-    var = sum((x - mean) ** 2 for x in values) / n
-    return Estimate(mean=mean, ci3=3 * math.sqrt(var / n), samples=n)
 
 
 def _random_permutation(n: int, rng: Random) -> tuple[int, ...]:
     order = list(range(n))
     rng.shuffle(order)
     return tuple(order)
-
-
-def mc_bad_fraction(family: PartitionedFamily, samples: int, rng: Random) -> Estimate:
-    """Unbiased Monte Carlo estimate of the bad-permutation fraction."""
-    if samples < 1:
-        raise InvalidParams("samples must be >= 1")
-    hits = [
-        0.0 if classify(_random_permutation(family.n, rng), family).is_good else 1.0
-        for _ in range(samples)
-    ]
-    return _estimate(hits)
-
-
-@dataclass(frozen=True)
-class GbarStarResult:
-    mc: Estimate
-    exact: float | None  # formula value for Steiner-derived families
 
 
 def gbar_star_formula(family: PartitionedFamily) -> float:
@@ -139,29 +124,12 @@ def gbar_star_formula(family: PartitionedFamily) -> float:
     return family.n * (q - 2) / (family.n - 3)
 
 
-def mc_gbar_star(
-    family: PartitionedFamily, samples: int, rng: Random, require_formula: bool = False
-) -> GbarStarResult:
-    """Mean of g over uniform permutations; exact formula added when the
-    family comes from a Steiner system."""
-    exact = None
-    if family.steiner_q is not None:
-        exact = gbar_star_formula(family)
-    elif require_formula:
-        raise FamilyKindMismatch("g-bar-star formula needs a Steiner-derived family")
-    gs = [
-        float(classify(_random_permutation(family.n, rng), family).g_value)
-        for _ in range(samples)
-    ]
-    return GbarStarResult(mc=_estimate(gs), exact=exact)
-
-
 @dataclass(frozen=True)
 class EstimateReport:
     """Monte Carlo summary feeding the AM-GM lower bound.
 
-    log2_bound is log2 of (good_fraction * n!/(2n) * p^fbar); bound_linear is
-    its float value when representable.
+    log2_bound is `log2_amgm_bound` at the sampled good fraction and f-bar;
+    bound_linear is its float value when representable.
     """
 
     family_label: str
@@ -202,6 +170,16 @@ class EstimateReport:
         }
 
 
+def log2_amgm_bound(good_fraction: float, n: int, fbar: float, p: float) -> float:
+    """log2 of the AM-GM lower bound good_fraction * n!/(2n) * p^fbar."""
+    return (
+        math.log2(good_fraction)
+        + math.lgamma(n + 1) / math.log(2)
+        - math.log2(2 * n)
+        + fbar * math.log2(p)
+    )
+
+
 def mc_fbar_and_bound(
     family: PartitionedFamily,
     spec: DensitySpec,
@@ -210,7 +188,9 @@ def mc_fbar_and_bound(
     family_label: str = "family",
     seed: int | None = None,
 ) -> EstimateReport:
-    """Estimate f-bar over good permutations and emit the AM-GM lower bound.
+    """Classify `samples` uniform permutations once and report the bad
+    fraction, f-bar and g-bar over good permutations, g-bar-star over all of
+    them, and the AM-GM lower bound.
 
     Asserts f <= n - g on every good sample (a structural identity: windows
     inside one element are consecutive at worst).
@@ -238,19 +218,11 @@ def mc_fbar_and_bound(
     if not f_vals:
         raise InsufficientGoodSamples(f"no good permutation in {samples} samples")
 
-    bad = _estimate(bad_hits)
-    fbar = _estimate(f_vals)
-    gbar = _estimate(g_good)
-    g_star = _estimate(g_all)
-    good_fraction = 1.0 - bad.mean
-
-    ln2 = math.log(2)
-    log2_bound = (
-        math.log2(good_fraction)
-        + math.lgamma(n + 1) / ln2
-        - math.log2(2 * n)
-        + fbar.mean * math.log2(spec.as_float())
-    )
+    bad = Estimate.of(bad_hits)
+    fbar = Estimate.of(f_vals)
+    gbar = Estimate.of(g_good)
+    g_star = Estimate.of(g_all)
+    log2_bound = log2_amgm_bound(1.0 - bad.mean, n, fbar.mean, spec.as_float())
     log2_e = log2_expectation_value(n, spec.as_float())
     exact = gbar_star_formula(family) if family.steiner_q is not None else None
     return EstimateReport(
@@ -284,7 +256,7 @@ class ExpectedHReport:
     max_over_expectation: float
 
     def mean_estimate(self) -> Estimate:
-        return _estimate([float(v) for v in self.values])
+        return Estimate.of([float(v) for v in self.values])
 
     def to_json_dict(self) -> dict:
         return {
@@ -323,15 +295,3 @@ def mc_expected_H(
         max_over_expectation=max(values) / ev,
     )
 
-
-def ratio_report(mean_h: float, n: int, p: float) -> dict:
-    """Ratio of an observed mean count to the expectation value E(n,p)."""
-    log2_e = log2_expectation_value(n, p)
-    ev = 2.0**log2_e
-    return {
-        "mean_H": mean_h,
-        "log2_E": log2_e,
-        "E": ev,
-        "ratio": mean_h / ev,
-        "log2_ratio": (math.log2(mean_h) if mean_h > 0 else -math.inf) - log2_e,
-    }

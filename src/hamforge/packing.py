@@ -129,11 +129,18 @@ class PackingReport:
     def failed(self) -> list[str]:
         return [name for name, passed, _ in self.properties if not passed]
 
-    def detail(self, name: str) -> str:
-        for pname, _, d in self.properties:
-            if pname == name:
-                return d
-        raise KeyError(name)
+
+def _low_codegree(vertices, edges, params: PackingParams) -> tuple | None:
+    """Property (ii) for one element: the first (X, degree, threshold) with
+    X a subset of `vertices`, 1 <= |X| <= r-1, and fewer than the threshold
+    of `edges` containing X; None when every co-degree meets it."""
+    for size in range(1, params.r):
+        threshold = params.tau_for_size(size)
+        for X in itertools.combinations(sorted(vertices), size):
+            deg = sum(1 for e in edges if set(X) <= set(e))
+            if deg < threshold:
+                return X, deg, threshold
+    return None
 
 
 def validate_packing(packing: Packing, params: PackingParams) -> PackingReport:
@@ -151,29 +158,19 @@ def validate_packing(packing: Packing, params: PackingParams) -> PackingReport:
     )
 
     violation = ""
-    ok2 = True
     for ei, (vs, edges) in enumerate(zip(packing.vertex_sets, packing.edge_sets)):
-        edge_set = set(edges)
         stray = next((e for e in edges if not set(e) <= set(vs)), None)
         if stray is not None:
-            ok2 = False
             violation = f"element {ei} edge {stray} leaves its vertex set"
             break
-        for size in range(1, r):
-            threshold = params.tau_for_size(size)
-            for X in itertools.combinations(sorted(vs), size):
-                deg = sum(1 for e in edge_set if set(X) <= set(e))
-                if deg < threshold:
-                    ok2 = False
-                    violation = (
-                        f"element {ei}: degree of X={X} is {deg} < {threshold:.4g}"
-                    )
-                    break
-            if not ok2:
-                break
-        if not ok2:
+        low = _low_codegree(vs, set(edges), params)
+        if low is not None:
+            X, deg, threshold = low
+            violation = f"element {ei}: degree of X={X} is {deg} < {threshold:.4g}"
             break
-    props.append(("ii_min_degree", ok2, violation or "all co-degrees meet the threshold"))
+    props.append(
+        ("ii_min_degree", not violation, violation or "all co-degrees meet the threshold")
+    )
 
     covered = packing.covered_edges()
     half = math.comb(n, r) / 2
@@ -257,23 +254,12 @@ def build_random_packing(
             else:
                 white[i].add(e)
 
-        if params.mode == "faithful":
-            # claim 1: red degrees meet the threshold (they survive trimming)
-            ok = True
-            for i, vs in enumerate(vertex_sets):
-                for size in range(1, r):
-                    threshold = params.tau_for_size(size)
-                    for X in itertools.combinations(vs, size):
-                        if sum(1 for e in red[i] if set(X) <= set(e)) < threshold:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                failures["claim1_red_degree"] += 1
-                continue
+        # claim 1: red degrees meet the threshold (they survive trimming)
+        if params.mode == "faithful" and any(
+            _low_codegree(vs, red[i], params) is not None for i, vs in enumerate(vertex_sets)
+        ):
+            failures["claim1_red_degree"] += 1
+            continue
 
         totals = [len(red[i]) + len(white[i]) for i in range(K)]
         if params.mode == "faithful" and max(totals) > cap:

@@ -38,7 +38,7 @@ class DensitySpec:
             num, den = (int(x) for x in text.split("/"))
         except ValueError:
             raise InvalidParams(f"density must look like 'NUM/DEN', got {text!r}") from None
-        g = math.gcd(num, den)
+        g = math.gcd(num, den) or 1  # 0/0: let __post_init__ reject it
         return cls(num // g, den // g)
 
     def as_fraction(self) -> Fraction:
@@ -169,8 +169,10 @@ def audit_quasirandomness(
     """
     if graph.n < 4:
         raise InvalidParams("audit needs n >= 4")
-    if epsilon <= 0:
-        raise InvalidParams("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise InvalidParams(f"epsilon must be positive and finite, got {epsilon}")
+    if samples < 0:
+        raise InvalidParams(f"samples must be >= 0, got {samples}")
     if p is None:
         p = graph.density()
     half = graph.n // 2

@@ -33,7 +33,7 @@ from hamforge.counting import (
     two_factor_profile,
 )
 from hamforge.errors import RetryBudgetExhausted
-from hamforge.estimators import mc_fbar_and_bound, mc_gbar_star
+from hamforge.estimators import mc_fbar_and_bound
 from hamforge.geometry import build_spherical_steiner, verify_steiner
 from hamforge.hypercore import Hypergraph, window_set
 from hamforge.packing import (
@@ -153,17 +153,17 @@ def test_criterion_06_steiner_designs():
 def test_criterion_07_gbar_star():
     t0 = time.time()
     fam10 = family_from_design(build_spherical_steiner(3, 2), 1)
-    result = mc_gbar_star(fam10, 100_000, random.Random(7))
+    result = mc_fbar_and_bound(fam10, DensitySpec(1, 2), 100_000, random.Random(7))
     target = 10 * (3 - 2) / (10 - 3)
-    assert result.exact == pytest.approx(target)
-    assert abs(result.mc.mean - target) <= result.mc.ci3
+    assert result.gbar_star_exact == pytest.approx(target)
+    assert abs(result.gbar_star.mean - target) <= result.gbar_star.ci3
 
     fam17 = family_from_design(build_spherical_steiner(2, 4), 1)
-    result17 = mc_gbar_star(fam17, 100_000, random.Random(8))
-    assert result17.mc.mean == 0.0 and result17.exact == 0.0
+    result17 = mc_fbar_and_bound(fam17, DensitySpec(1, 2), 100_000, random.Random(8))
+    assert result17.gbar_star.mean == 0.0 and result17.gbar_star_exact == 0.0
     assert _report(
         7, True,
-        f"g-bar-star: S(3,4,10) MC {result.mc.mean:.4f} within 3sigma of 10/7; S(3,3,17) all zero",
+        f"g-bar-star: S(3,4,10) MC {result.gbar_star.mean:.4f} within 3sigma of 10/7; S(3,3,17) all zero",
         t0, 30,
     )
 

@@ -244,6 +244,34 @@ def test_experiment_workers_below_1_is_a_usage_error(tmp_path, capsys, workers):
     assert f"must be >= 1, got {workers}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--eps", 0.1, "--p", "0/0"], "need 0 < num < den, got 0/0"),
+    (["--eps", 0], "epsilon must be positive and finite, got 0.0"),
+    (["--eps", "nan"], "epsilon must be positive and finite, got nan"),
+    (["--eps", "inf"], "epsilon must be positive and finite, got inf"),
+    (["--eps", 0.1, "--samples", -5], "samples must be >= 0, got -5"),
+])
+def test_malformed_audit_input_exits_2(tmp_path, capsys, extra, message):
+    graph = tmp_path / "k8.txt"
+    run(["construct", "--kind", "complete", "--n", 8, "--r", 3, "--out", graph])
+    capsys.readouterr()
+    assert run(["audit", "--in", graph, "--seed", 1, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"InvalidParams: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--builds", "--runs", "--retries"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_experiment_counts_below_1_are_usage_errors(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run(["experiment", "--preset", "turan-subsample", "--seed", 1,
+             flag, value, "--out-dir", tmp_path])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"must be >= 1, got {value}" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["pack", "--n", 12, "--r", 3, "--k", 2, "--q", 4, "--K", 4, "--M", 1, "--tau", 1,
      "--seed", 1, "--out", "p.txt"],

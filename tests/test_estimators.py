@@ -11,11 +11,8 @@ from hamforge.errors import (
 from hamforge.estimators import (
     classify,
     gbar_star_formula,
-    mc_bad_fraction,
     mc_expected_H,
     mc_fbar_and_bound,
-    mc_gbar_star,
-    ratio_report,
 )
 from hamforge.geometry import build_spherical_steiner
 from hamforge.hypercore import Hypergraph, symmetry_images
@@ -156,7 +153,8 @@ def test_singleton_family_all_good():
         perm = tuple(rng.sample(range(8), 8))
         c = classify(perm, fam)
         assert c.is_good and c.f_value == 8 and c.g_value == 0
-    assert mc_bad_fraction(fam, 200, random.Random(1)).mean == 0.0
+    report = mc_fbar_and_bound(fam, DensitySpec(1, 2), 200, random.Random(1))
+    assert report.bad_fraction.mean == 0.0
 
 
 def test_incomplete_family_raises():
@@ -167,21 +165,19 @@ def test_incomplete_family_raises():
 
 
 def test_gbar_star_steiner17_zero(fam17):
-    result = mc_gbar_star(fam17, 2000, random.Random(5))
-    assert result.exact == 0.0
-    assert result.mc.mean == 0.0
+    report = mc_fbar_and_bound(fam17, DensitySpec(1, 2), 2000, random.Random(5))
+    assert report.gbar_star_exact == 0.0
+    assert report.gbar_star.mean == 0.0
 
 
 def test_gbar_star_s3410_formula(fam10):
     assert gbar_star_formula(fam10) == pytest.approx(10 / 7)
-    result = mc_gbar_star(fam10, 30_000, random.Random(8))
-    assert abs(result.mc.mean - 10 / 7) <= result.mc.ci3
+    g_star = mc_fbar_and_bound(fam10, DensitySpec(1, 2), 30_000, random.Random(8)).gbar_star
+    assert abs(g_star.mean - 10 / 7) <= g_star.ci3
 
 
 def test_gbar_star_formula_guard():
     fam = singleton_leftover_family(8, 3)
-    with pytest.raises(FamilyKindMismatch):
-        mc_gbar_star(fam, 10, random.Random(0), require_formula=True)
     with pytest.raises(FamilyKindMismatch):
         gbar_star_formula(fam)
 
@@ -220,7 +216,7 @@ def test_fbar_report_reproducible(fam17):
 
 def test_union_bound_sanity(fam17):
     # exact worst-case pair collision: the partner block of a disjoint window
-    est = mc_bad_fraction(fam17, 3000, random.Random(20))
+    est = mc_fbar_and_bound(fam17, DensitySpec(1, 2), 3000, random.Random(20)).bad_fraction
     q, n, k = 2, 17, 2
     pair = (k - 1) * ((q + 1) * q * (q - 1)) / ((n - 3) * (n - 4) * (n - 5))
     assert est.mean <= n**2 * pair
@@ -253,9 +249,7 @@ def test_mc_expected_h_and_ratio(fam17):
     assert report.mean == pytest.approx(sum(report.values) / 3)
     # complete graph at p = 1: the ratio to expectation is exactly 1
     h = exact_ham_count(Hypergraph.complete(8, 3)).count
-    rr = ratio_report(h, 8, 1.0)
-    assert rr["ratio"] == pytest.approx(1.0)
-    assert rr["E"] == pytest.approx(expectation_value(8, 1.0))
+    assert h / expectation_value(8, 1.0) == pytest.approx(1.0)
 
 
 def test_leftover_only_family_bound_consistency():

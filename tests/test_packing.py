@@ -48,6 +48,18 @@ def test_faithful_infeasible_m():
         PackingParams.faithful(n=50, r=3, k=2, beta=0.3, delta=0.1)
 
 
+def test_faithful_claim1_gate():
+    # one 6-set owning all 20 triples: each pair's co-degree threshold is
+    # below 1, so claim 1 fails exactly when some pair has no red triple;
+    # every attempt that passes it meets the one-third edge cap next
+    params = PackingParams(n=12, r=3, k=1, q=6, K=1, M=1, mode="faithful", beta=0.5, delta=0.99)
+    with pytest.raises(RetryBudgetExhausted) as exc:
+        build_random_packing(params, random.Random(0), retries=10)
+    assert exc.value.failure_counts == {
+        "claim1_red_degree": 5, "claim2_edge_cap": 5, "claim3_trim": 0,
+    }
+
+
 def test_direct_params_validation():
     with pytest.raises(InvalidParams):
         PackingParams.direct(n=60, r=3, k=3, q=8, K=31, M=1, tau=1)  # K not multiple

@@ -31,6 +31,9 @@ def test_density_spec():
         DensitySpec(0, 2)
     with pytest.raises(InvalidParams):
         DensitySpec.parse("0.5")
+    for text in ("0/0", "1/0", "0/4"):
+        with pytest.raises(InvalidParams):
+            DensitySpec.parse(text)
 
 
 def test_gnp_extremes():
@@ -154,6 +157,14 @@ def test_audit_detects_planted_clique():
     )
     assert not report.passed
     assert report.max_abs_deviation >= 1 - g.density()
+
+
+def test_audit_planted_subsets_only():
+    report = audit_quasirandomness(
+        Hypergraph.complete(8, 3), epsilon=0.1, samples=0, rng=random.Random(1),
+        extra_subsets=[range(4), range(4, 8)],
+    )
+    assert report.samples == 2 and report.passed
 
 
 def test_audit_report_json(steiner_family):
