@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -126,6 +127,12 @@ def test_validator_mutations():
         edge_sets=packing.edge_sets,
     )
     assert "i_element_order" in validate_packing(stretched, params).failed()
+
+    # a co-degree floor above what the build met breaks property (ii)
+    strict = dataclasses.replace(params, tau=2)
+    assert validate_packing(packing, strict).properties[1] == (
+        "ii_min_degree", False, "element 27: degree of X=(14, 21) is 1 < 2"
+    )
 
 
 def test_leftover_edges_complement():
