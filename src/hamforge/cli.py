@@ -500,7 +500,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tau", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--retries", type=int, default=50)
+    p.add_argument("--retries", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pack)

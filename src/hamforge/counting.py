@@ -22,6 +22,8 @@ from .errors import DegenerateCycle, InvalidParams, ScaleLimit
 from .hypercore import Hypergraph
 
 DEFAULT_MEM_GIB = 8.0
+BRUTE_FORCE_MAX_N = 10
+TWO_FACTOR_MAX_N = 10
 MEMINFO = "/proc/meminfo"
 
 
@@ -73,7 +75,7 @@ class TwoFactorProfile:
         return self.counts[1] if len(self.counts) > 1 else 0
 
 
-def brute_force_ham_count(graph: Hypergraph, limit: int = 10) -> CountResult:
+def brute_force_ham_count(graph: Hypergraph) -> CountResult:
     """Count Hamiltonian cycles by exhaustive search over anchored sequences.
 
     A depth-first search extends (0, ...) by one unused vertex at a time and
@@ -84,8 +86,8 @@ def brute_force_ham_count(graph: Hypergraph, limit: int = 10) -> CountResult:
     n, r = graph.n, graph.r
     if n < r + 2:
         raise DegenerateCycle(f"need n >= r+2 (got n={n}, r={r})")
-    if n > limit:
-        raise ScaleLimit(f"brute force searches up to (n-1)! sequences; n={n} > {limit}")
+    if n > BRUTE_FORCE_MAX_N:
+        raise ScaleLimit(f"brute force searches up to (n-1)! sequences; n={n} > {BRUTE_FORCE_MAX_N}")
     edges = graph.edges
     # r-1 vertices -> bitmask of the vertices that complete an edge with them
     follow: dict[tuple[int, ...], int] = {}
@@ -395,14 +397,14 @@ def adjacency_matrix(graph: Hypergraph) -> np.ndarray:
     return a
 
 
-def two_factor_profile(graph: Hypergraph, limit: int = 10) -> TwoFactorProfile:
+def two_factor_profile(graph: Hypergraph) -> TwoFactorProfile:
     """Count spanning subgraphs whose components are cycles and single edges,
     grouped by number of cycles. Exhaustive; n <= 10."""
     if graph.r != 2:
         raise ValueError("generalized 2-factors are defined for graphs (r=2)")
     n = graph.n
-    if n > limit:
-        raise ScaleLimit(f"two-factor enumeration is exponential; n={n} > {limit}")
+    if n > TWO_FACTOR_MAX_N:
+        raise ScaleLimit(f"two-factor enumeration is exponential; n={n} > {TWO_FACTOR_MAX_N}")
     adj = [set() for _ in range(n)]
     for u, v in graph.edges:
         adj[u].add(v)

@@ -1,8 +1,11 @@
 """Finite-field arithmetic and the spherical Steiner systems S(3, q+1, q^s+1).
 
 The system on the projective line over GF(q^s) is the orbit of the subfield
-line GF(q) + {infinity} under fractional-linear maps; the exhaustive
-validator is the ground truth for every constructed design.
+line GF(q) + {infinity} under fractional-linear maps. The group's generators
+z+1, gz and 1/z are computed once as permutations of the point indices, and
+the orbit is walked on sorted index tuples; the exhaustive validator is the
+ground truth for every constructed design. One scale limit, MAX_TRIPLES on
+C(n,3), bounds both the build (checked before the orbit) and the validator.
 
 Point indexing: infinity is index 0; field elements (encoded as integers in
 base p from their coefficient vectors) take indices 1..q^s in encoding order.
@@ -22,7 +25,8 @@ from .errors import (
     ScaleLimit,
 )
 
-INFINITY = object()  # sentinel projective point
+# exhaustive triple checks and Steiner builds stop above this many triples
+MAX_TRIPLES = 20_000_000
 
 
 def is_prime(n: int) -> bool:
@@ -53,23 +57,6 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return (q, 1)
 
 
-def _poly_mul_mod(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
-    # dense schoolbook multiply then reduce; coefficients little-endian
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    m = len(modulus) - 1
-    for i in range(len(out) - 1, m - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(m):
-                out[i - m + j] = (out[i - m + j] - c * modulus[j]) % p
-    return [x % p for x in out[:m]] + [0] * max(0, m - len(out))
-
-
 class FieldCtx:
     """GF(p^m) with the encoding-least monic irreducible modulus.
 
@@ -92,9 +79,10 @@ class FieldCtx:
         self._build_tables()
 
     # -- construction ------------------------------------------------------
-    def _decode(self, x: int) -> list[int]:
+    def _decode(self, x: int, d: int | None = None) -> list[int]:
+        """The first d (default m) base-p digits of x, least significant first."""
         coeffs = []
-        for _ in range(self.m):
+        for _ in range(self.m if d is None else d):
             coeffs.append(x % self.p)
             x //= self.p
         return coeffs
@@ -106,57 +94,41 @@ class FieldCtx:
         return x
 
     def _find_irreducible(self) -> list[int]:
-        p, m = self.p, self.m
-        if m == 1:
-            return [0, 1]  # x
         # monic degree-m candidates in increasing encoding of the low part
-        for low in range(p**m):
+        for low in range(self.p**self.m):
             cand = self._decode(low) + [1]
             if self._is_irreducible(cand):
                 return cand
         raise ConstructionBug("no irreducible polynomial found")
 
     def _is_irreducible(self, poly: list[int]) -> bool:
-        p = self.p
-        deg = len(poly) - 1
-        if poly[0] == 0:
-            return False
         # trial division by all monic polynomials of degree 1..deg//2
-        for d in range(1, deg // 2 + 1):
-            for low in range(p**d):
-                div = self._decode_deg(low, d) + [1]
-                if self._poly_divides(div, poly):
+        for d in range(1, (len(poly) - 1) // 2 + 1):
+            for low in range(self.p**d):
+                if not any(self._rem(poly, self._decode(low, d) + [1])):
                     return False
         return True
 
-    def _decode_deg(self, x: int, d: int) -> list[int]:
-        coeffs = []
-        for _ in range(d):
-            coeffs.append(x % self.p)
-            x //= self.p
-        return coeffs
-
-    def _poly_divides(self, div: list[int], poly: list[int]) -> bool:
-        p = self.p
+    def _rem(self, poly: list[int], monic: list[int]) -> list[int]:
+        """poly modulo a monic polynomial; coefficients little-endian."""
+        p, d = self.p, len(monic) - 1
         rem = list(poly)
-        dd = len(div) - 1
-        inv_lead = pow(div[-1], p - 2, p)
-        while len(rem) - 1 >= dd:
-            lead = rem[-1]
-            if lead:
-                f = (lead * inv_lead) % p
-                off = len(rem) - 1 - dd
-                for i in range(dd + 1):
-                    rem[off + i] = (rem[off + i] - f * div[i]) % p
-            rem.pop()
-            while len(rem) > dd and rem[-1] == 0:
-                rem.pop()
-        return all(c == 0 for c in rem)
+        for i in range(len(rem) - 1, d - 1, -1):
+            c = rem[i]
+            if c:
+                for j in range(d):
+                    rem[i - d + j] = (rem[i - d + j] - c * monic[j]) % p
+        return rem[:d]
 
     def _raw_mul(self, a: int, b: int) -> int:
-        return self._encode(
-            _poly_mul_mod(self._decode(a), self._decode(b), self.modulus, self.p)
-        )
+        # dense schoolbook multiply, then reduce by the modulus
+        p, bs = self.p, self._decode(b)
+        out = [0] * (2 * self.m - 1)
+        for i, ai in enumerate(self._decode(a)):
+            if ai:
+                for j, bj in enumerate(bs):
+                    out[i + j] = (out[i + j] + ai * bj) % p
+        return self._encode(self._rem(out, self.modulus))
 
     def _build_tables(self):
         # find a multiplicative generator, then log/exp tables
@@ -182,16 +154,12 @@ class FieldCtx:
                 e >>= 1
             return acc
 
-        gen = None
-        for cand in range(2, self.order):
-            if all(raw_pow(cand, n // f) != 1 for f in factors):
-                gen = cand
+        # 1 passes only in GF(2), where n = 1 has no prime factors
+        for gen in range(1, self.order):
+            if all(raw_pow(gen, n // f) != 1 for f in factors):
                 break
-        if gen is None:
-            if self.order == 2:
-                gen = 1
-            else:
-                raise ConstructionBug("no multiplicative generator found")
+        else:
+            raise ConstructionBug("no multiplicative generator found")
         self.generator = gen
         self._exp = [1] * n
         self._log = [0] * self.order
@@ -217,9 +185,6 @@ class FieldCtx:
             return a
         return self._encode((-x) % self.p for x in self._decode(a))
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -231,9 +196,6 @@ class FieldCtx:
             raise FieldDivisionError("inverse of zero")
         n = self.order - 1
         return self._exp[(-self._log[a]) % n]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -256,23 +218,6 @@ class FieldCtx:
 # ---------------------------------------------------------------------------
 # the projective line and the spherical design
 # ---------------------------------------------------------------------------
-
-def apply_mobius(ctx: FieldCtx, a: int, b: int, c: int, d: int, z) -> object:
-    """z -> (az+b)/(cz+d) on GF(order) + {infinity}."""
-    if z is INFINITY:
-        if c == 0:
-            return INFINITY
-        return ctx.div(a, c)
-    den = ctx.add(ctx.mul(c, z), d)
-    if den == 0:
-        return INFINITY
-    num = ctx.add(ctx.mul(a, z), b)
-    return ctx.div(num, den)
-
-
-def point_index(z) -> int:
-    return 0 if z is INFINITY else 1 + z
-
 
 @dataclass(frozen=True)
 class SteinerSystem:
@@ -314,37 +259,30 @@ def build_spherical_steiner(q: int, s: int) -> SteinerSystem:
         raise InvalidParams(f"q={q} is not a prime power")
     if s < 2:
         raise InvalidParams("need s >= 2 (s=1 gives the single-block design)")
-    if q**s > 10_000:
-        raise ScaleLimit(f"q^s = {q**s} beyond desk scale")
+    n = q**s + 1
+    if math.comb(n, 3) > MAX_TRIPLES:
+        raise ScaleLimit(f"C({n},3) triples exceed {MAX_TRIPLES}")
     p, a = pp
     ctx = FieldCtx(p, a * s)
 
-    base = tuple(sorted(point_index(z) for z in [INFINITY, *ctx.subfield(q)]))
-    points = [INFINITY, *ctx.elements()]
+    # generators of the fractional-linear group as permutations of the point
+    # indices: z+1, gz, and 1/z (which swaps 0 and infinity)
+    shift = [0] + [1 + ctx.add(z, 1) for z in ctx.elements()]
+    scale = [0] + [1 + ctx.mul(ctx.generator, z) for z in ctx.elements()]
+    invert = [1, 0] + [1 + ctx.inv(z) for z in range(1, ctx.order)]
 
-    # generators of the fractional-linear group: z+1, gz, 1/z
-    gens = [(1, 1, 0, 1), (ctx.generator, 0, 0, 1), (0, 1, 1, 0)]
-
-    def image(block: tuple[int, ...], g) -> tuple[int, ...]:
-        out = []
-        for idx in block:
-            z = points[idx]
-            out.append(point_index(apply_mobius(ctx, *g, z)))
-        return tuple(sorted(out))
-
+    base = tuple(sorted([0] + [1 + z for z in ctx.subfield(q)]))
     seen = {base}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for block in frontier:
-            for g in gens:
-                img = image(block, g)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
+    stack = [base]
+    while stack:
+        block = stack.pop()
+        for perm in (shift, scale, invert):
+            img = tuple(sorted([perm[v] for v in block]))
+            if img not in seen:
+                seen.add(img)
+                stack.append(img)
 
-    system = SteinerSystem(n=q**s + 1, q=q, s=s, blocks=tuple(sorted(seen)))
+    system = SteinerSystem(n=n, q=q, s=s, blocks=tuple(sorted(seen)))
     report = verify_steiner(system)
     if not report.ok:
         raise ConstructionBug(f"spherical design failed validation: {report.first_problem()}")
@@ -355,7 +293,7 @@ def verify_steiner(system: SteinerSystem) -> SteinerReport:
     """Exhaustively check block shape, counts, and exact triple coverage."""
     n, q = system.n, system.q
     problems: list[str] = []
-    if math.comb(n, 3) > 20_000_000:
+    if math.comb(n, 3) > MAX_TRIPLES:
         raise ScaleLimit(f"exhaustive triple check over C({n},3) is over budget")
 
     size = q + 1

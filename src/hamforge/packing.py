@@ -83,6 +83,8 @@ class PackingParams:
             raise InvalidParams(f"K={K} must be a positive multiple of k={k}")
         if M < 1:
             raise InvalidParams("M must be >= 1")
+        if not 0 < tau < math.inf:
+            raise InvalidParams(f"tau must be positive and finite, got {tau}")
         return cls(n=n, r=r, k=k, q=q, K=K, M=M, mode="direct", tau=tau)
 
     def tau_for_size(self, size: int) -> float:
@@ -227,6 +229,8 @@ def build_random_packing(
     validator on the trimmed elements (the claims' role, checked directly).
     Every successful attempt is validator-approved in both modes.
     """
+    if retries < 1:
+        raise InvalidParams(f"retries must be >= 1, got {retries}")
     n, r, q, K, M, k = params.n, params.r, params.q, params.K, params.M, params.k
     failures: dict[str, int] = {"claim1_red_degree": 0, "claim2_edge_cap": 0, "claim3_trim": 0}
     cap = math.comb(q, r) / 3

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import time
 
 import pytest
 
@@ -258,6 +259,34 @@ def test_malformed_audit_input_exits_2(tmp_path, capsys, extra, message):
     assert run(["audit", "--in", graph, "--seed", 1, *extra]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"InvalidParams: {message}\n" and captured.out == ""
+
+
+PACK_ARGS = ["pack", "--n", 30, "--r", 3, "--k", 1, "--q", 6, "--K", 4, "--M", 1, "--seed", 2]
+
+
+@pytest.mark.parametrize("tau", ["nan", "-1", "inf"])
+def test_pack_tau_must_be_positive_and_finite(tmp_path, capsys, tau):
+    out = tmp_path / "p.txt"
+    assert run([*PACK_ARGS, "--tau", tau, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"InvalidParams: tau must be positive and finite, got {float(tau)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("retries", ["0", "-3"])
+def test_pack_retries_below_1_is_a_usage_error(tmp_path, capsys, retries):
+    with pytest.raises(SystemExit) as exc:
+        run([*PACK_ARGS, "--tau", 1, "--retries", retries, "--out", tmp_path / "p.txt"])
+    assert exc.value.code == 1
+    assert f"must be >= 1, got {retries}" in capsys.readouterr().err
+
+
+def test_steiner_scale_limit_exits_2_at_once(tmp_path, capsys):
+    start = time.perf_counter()
+    assert run(["steiner", "--q", 2, "--s", 9, "--out", tmp_path / "d.txt"]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("ScaleLimit: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--builds", "--runs", "--retries"])

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import itertools
 import math
+import time
 
 import pytest
 
@@ -152,3 +154,27 @@ def test_design_parse_errors():
     with pytest.raises(ParseError) as err:
         read_design(io.StringIO("10 3 2 1\n0 1 2\n"))
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("q, s, digest", [
+    (2, 5, "9300c92a8cf15fc2"), (3, 3, "7d264210f3ffc5cf"), (3, 4, "0d52c69e7035ff7e"),
+    (4, 3, "2b9a2097f2da0596"), (5, 2, "d970461dbc5c87bb"), (7, 2, "c9ca679b771ff264"),
+    (9, 2, "ac5c5acdb8ddfba0"),
+])
+def test_designs_are_pinned(q, s, digest):
+    blocks = build_spherical_steiner(q, s).blocks
+    assert hashlib.sha256(repr(blocks).encode()).hexdigest()[:16] == digest
+
+
+def test_fields_are_pinned():
+    assert (FieldCtx(3, 4).modulus, FieldCtx(3, 4).generator) == ([2, 1, 0, 0, 1], 3)
+    assert (FieldCtx(7, 3).modulus, FieldCtx(7, 3).generator) == ([2, 0, 0, 1], 22)
+    assert FieldCtx(2, 9).generator == 7
+
+
+def test_steiner_scale_limit_precedes_the_orbit():
+    # C(513,3) = 22,413,856 triples: refused before any block is built
+    start = time.perf_counter()
+    with pytest.raises(ScaleLimit):
+        build_spherical_steiner(2, 9)
+    assert time.perf_counter() - start < 0.5

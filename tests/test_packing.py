@@ -66,6 +66,12 @@ def test_direct_params_validation():
         PackingParams.direct(n=60, r=3, k=3, q=8, K=31, M=1, tau=1)  # K not multiple
     with pytest.raises(InvalidParams):
         PackingParams.direct(n=60, r=3, k=3, q=8, K=30, M=0, tau=1)
+    for tau in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(InvalidParams, match=f"tau must be positive and finite, got {tau}"):
+            PackingParams.direct(n=60, r=3, k=3, q=8, K=30, M=1, tau=tau)
+    for retries in (0, -3):
+        with pytest.raises(InvalidParams, match=f"retries must be >= 1, got {retries}"):
+            build_random_packing(PackingParams.direct(**FEASIBLE), random.Random(0), retries)
 
 
 def test_build_feasible_config():
