@@ -130,6 +130,11 @@ def test_invalid_and_scale_params():
         build_spherical_steiner(2, 1)
     with pytest.raises(ScaleLimit):
         build_spherical_steiner(11, 5)
+    # C(513,3) = 22,413,856 triples: refused before any block is built
+    start = time.perf_counter()
+    with pytest.raises(ScaleLimit):
+        build_spherical_steiner(2, 9)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_triple_coverage_exhaustive_uniqueness():
@@ -170,11 +175,3 @@ def test_fields_are_pinned():
     assert (FieldCtx(3, 4).modulus, FieldCtx(3, 4).generator) == ([2, 1, 0, 0, 1], 3)
     assert (FieldCtx(7, 3).modulus, FieldCtx(7, 3).generator) == ([2, 0, 0, 1], 22)
     assert FieldCtx(2, 9).generator == 7
-
-
-def test_steiner_scale_limit_precedes_the_orbit():
-    # C(513,3) = 22,413,856 triples: refused before any block is built
-    start = time.perf_counter()
-    with pytest.raises(ScaleLimit):
-        build_spherical_steiner(2, 9)
-    assert time.perf_counter() - start < 0.5
