@@ -13,19 +13,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
 from random import Random
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .counting import exact_ham_count, log2_expectation_value
 from .errors import (
+    DegenerateCycle,
     FamilyIncomplete,
     FamilyKindMismatch,
     InsufficientGoodSamples,
     InvalidParams,
+    ScaleLimit,
 )
-from .hypercore import Edge, window_set
+from .hypercore import colex_rank, window_set
 from .packing import PartitionedFamily
 from .randmodels import DensitySpec, build_quasirandom_from_partition
+
+# permutations the Monte Carlo pass classifies per numpy block
+MC_BLOCK = 1024
+# the owner table holds two int32 entries per r-set of the family's vertices
+MAX_OWNER_RANKS = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -40,33 +49,73 @@ class Classification:
         return self.verdict == "good"
 
 
-def _owner_index(family: PartitionedFamily) -> dict[Edge, tuple[int, int]]:
-    """Edge -> (group, member) over `family.groups()`, built once per family."""
-    # stash on the instance: hashing the nested family per lookup would cost
-    # more than the classification itself
+def _owner_index(family: PartitionedFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Owner group and member of every r-set by colex rank, -1 where no group
+    owns it; two int32 arrays of C(n, r) entries, built once per family."""
+    # stash on the instance: the family is frozen, and rebuilding per call
+    # would cost more than the classification itself
     index = family.__dict__.get("_owner_index")
-    if index is None:
-        index = {
-            e: (gi, mi)
-            for gi, grp in enumerate(family.groups())
-            for mi, (_, edges) in enumerate(grp)
-            for e in edges
-        }
-        family.__dict__["_owner_index"] = index
+    if index is not None:
+        return index
+    n, r = family.n, family.r
+    if math.comb(n, r) > MAX_OWNER_RANKS:
+        raise ScaleLimit(f"owner table over C({n},{r}) r-sets exceeds {MAX_OWNER_RANKS}")
+    edges: list = []
+    group_of: list[int] = []
+    member_of: list[int] = []
+    for gi, grp in enumerate(family.groups()):
+        for mi, (_, es) in enumerate(grp):
+            edges.extend(es)
+            group_of.extend([gi] * len(es))
+            member_of.extend([mi] * len(es))
+    try:
+        arr = np.array(edges)
+    except ValueError:  # ragged: some edge does not have r vertices
+        arr = None
+    if arr is None or arr.dtype.kind != "i" or arr.shape != (len(edges), r):
+        # an edge that is not an r-tuple of vertices equals no window; a row
+        # of -1 keeps its place and fails the range test below
+        arr = np.array(
+            [e if len(e) == r and all(type(v) is int and 0 <= v < n for v in e) else (-1,) * r
+             for e in edges],
+            dtype=np.int64,
+        ).reshape(-1, r)
+    keep = (arr[:, 0] >= 0) & (arr[:, -1] < n) & (np.diff(arr, axis=1) > 0).all(axis=1)
+    ranks = colex_rank(arr[keep], n)
+    group = np.full(math.comb(n, r), -1, dtype=np.int32)
+    member = np.full(math.comb(n, r), -1, dtype=np.int32)
+    group[ranks] = np.array(group_of, dtype=np.int32)[keep]
+    member[ranks] = np.array(member_of, dtype=np.int32)[keep]
+    index = family.__dict__["_owner_index"] = (group, member)
     return index
 
 
-def classify(pi, family: PartitionedFamily) -> Classification:
-    """Classify a permutation against a family that locates every window."""
-    index = _owner_index(family)
-    windows = window_set(pi, family.r).windows
+def _window_owners(perms: np.ndarray, family: PartitionedFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Owner group and member of every window of each row of a (b, n) array
+    of permutations; FamilyIncomplete names the first unlocatable window in
+    row order."""
+    group, member = _owner_index(family)
+    r = family.r
+    doubled = np.concatenate([perms, perms[:, : r - 1]], axis=1)
+    windows = np.sort(sliding_window_view(doubled, r, axis=1), axis=-1)
+    ranks = colex_rank(windows, family.n)
+    gs = group[ranks]
+    missing = np.flatnonzero(gs < 0)
+    if missing.size:
+        w = tuple(windows.reshape(-1, r)[missing[0]].tolist())
+        raise FamilyIncomplete(f"window {w} is not locatable in the family")
+    return gs, member[ranks]
 
-    owners = []
-    for w in windows:
-        o = index.get(w)
-        if o is None:
-            raise FamilyIncomplete(f"window {w} is not locatable in the family")
-        owners.append(o)
+
+def classify(pi, family: PartitionedFamily) -> Classification:
+    """Classify a permutation of the family's n vertices against a family
+    that locates every window."""
+    order = tuple(pi)
+    if len(order) != family.n:
+        raise InvalidParams(f"permutation has {len(order)} entries, the family has n = {family.n}")
+    windows = window_set(order, family.r).windows
+    gs, ms = _window_owners(np.array([order], dtype=np.intp), family)
+    owners = list(zip(gs[0].tolist(), ms[0].tolist()))
 
     witness = None
     first: dict[int, tuple[int, tuple]] = {}  # group -> (member, first window)
@@ -86,6 +135,20 @@ def classify(pi, family: PartitionedFamily) -> Classification:
         kind = ("L", gi) if gi < n_elem else ("W", gi - n_elem)
         return Classification(verdict="bad", f_value=None, g_value=g_value, witness=(*kind, a, b))
     return Classification(verdict="good", f_value=len(first), g_value=g_value, witness=None)
+
+
+def _block_stats(perms: np.ndarray, family: PartitionedFamily):
+    """bad, f and g of each row of a (b, n) array of permutations, as
+    `classify` computes them for one permutation."""
+    gs, ms = _window_owners(perms, family)
+    g = ((gs == np.roll(gs, -1, axis=1)) & (ms == np.roll(ms, -1, axis=1))).sum(axis=1)
+    # one sort by (group, member) per row: a group boundary counts toward f,
+    # a member change inside a group makes the row bad
+    keys = np.sort((gs.astype(np.int64) << 32) | ms, axis=1)
+    new_group = (keys[:, 1:] >> 32) != (keys[:, :-1] >> 32)
+    f = new_group.sum(axis=1) + 1
+    bad = ((keys[:, 1:] != keys[:, :-1]) & ~new_group).any(axis=1)
+    return bad, f, g
 
 
 @dataclass(frozen=True)
@@ -198,23 +261,25 @@ def mc_fbar_and_bound(
     if samples < 1:
         raise InvalidParams("samples must be >= 1")
     n = family.n
-    bad_hits = []
+    if n < family.r + 2:
+        raise DegenerateCycle(f"need n >= r+2 (got n={n}, r={family.r})")
+    bad_hits: list[float] = []
     f_vals: list[float] = []
     g_good: list[float] = []
     g_all: list[float] = []
-    for _ in range(samples):
-        cls = classify(_random_permutation(n, rng), family)
-        g_all.append(float(cls.g_value))
-        if cls.is_good:
-            bad_hits.append(0.0)
-            if cls.f_value > n - cls.g_value:
-                raise AssertionError(
-                    f"good permutation with f={cls.f_value} > n-g={n - cls.g_value}"
-                )
-            f_vals.append(float(cls.f_value))
-            g_good.append(float(cls.g_value))
-        else:
-            bad_hits.append(1.0)
+    for start in range(0, samples, MC_BLOCK):
+        rows = min(MC_BLOCK, samples - start)
+        perms = np.array([_random_permutation(n, rng) for _ in range(rows)], dtype=np.intp)
+        bad, f, g = _block_stats(perms, family)
+        good = ~bad
+        over = np.flatnonzero(good & (f > n - g))
+        if over.size:
+            i = over[0]
+            raise AssertionError(f"good permutation with f={f[i]} > n-g={n - g[i]}")
+        g_all += g.astype(float).tolist()
+        bad_hits += bad.astype(float).tolist()
+        f_vals += f[good].astype(float).tolist()
+        g_good += g[good].astype(float).tolist()
     if not f_vals:
         raise InsufficientGoodSamples(f"no good permutation in {samples} samples")
 

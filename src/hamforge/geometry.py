@@ -13,9 +13,12 @@ base p from their coefficient vectors) take indices 1..q^s in encoding order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, TextIO
+
+import numpy as np
 
 from .errors import (
     ConstructionBug,
@@ -24,9 +27,12 @@ from .errors import (
     ParseError,
     ScaleLimit,
 )
+from .hypercore import colex_rank
 
 # exhaustive triple checks and Steiner builds stop above this many triples
 MAX_TRIPLES = 20_000_000
+# triples the validator ranks per numpy block
+TRIPLE_BLOCK = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -317,35 +323,56 @@ def verify_steiner(system: SteinerSystem) -> SteinerReport:
         )
 
     if not malformed:
-        import itertools
+        blocks = np.sort(np.array(system.blocks, dtype=np.intp).reshape(-1, size), axis=1)
+        # the triples of every block in block order, as colex ranks, a
+        # bounded number of blocks at a time
+        positions = np.array(list(itertools.combinations(range(size), 3)), dtype=np.intp)
+        step = max(1, TRIPLE_BLOCK // max(1, len(positions)))
 
-        coverage: dict[tuple[int, int, int], int] = {}
-        for b in system.blocks:
-            for triple in itertools.combinations(b, 3):
-                coverage[triple] = coverage.get(triple, 0) + 1
-        over = next((t for t, c in coverage.items() if c > 1), None)
-        if over is not None:
-            problems.append(f"triple {over} covered {coverage[over]} times")
-        if len(coverage) != math.comb(n, 3):
-            missing = next(
-                t
-                for t in itertools.combinations(range(n), 3)
-                if t not in coverage
-            )
-            problems.append(f"triple {missing} covered 0 times")
+        def triple_ranks():
+            for start in range(0, len(blocks), step):
+                yield colex_rank(blocks[start : start + step][:, positions], n).ravel()
 
-        per_point = [0] * n
-        for b in system.blocks:
-            for v in b:
-                per_point[v] += 1
+        coverage = bytearray(math.comb(n, 3))
+        marks = np.frombuffer(coverage, dtype=np.uint8)
+        streamed = 0
+        for ranks in triple_ranks():
+            marks[ranks] = 1
+            streamed += len(ranks)
+        covered = int(np.count_nonzero(marks))
+        if covered < streamed:
+            # some triple came twice: report the one first seen earliest
+            stream = np.concatenate(list(triple_ranks()))
+            _, first, counts = np.unique(stream, return_index=True, return_counts=True)
+            at = first[counts > 1].min()
+            block, pos = divmod(int(at), len(positions))
+            over = tuple(blocks[block, positions[pos]].tolist())
+            problems.append(f"triple {over} covered {int(counts[first == at][0])} times")
+        if covered != math.comb(n, 3):
+            missing = _colex_unrank3(np.flatnonzero(marks == 0), n)
+            first_missing = missing[np.lexsort(missing.T[::-1])[0]]
+            problems.append(f"triple {tuple(first_missing.tolist())} covered 0 times")
+
+        per_point = np.bincount(blocks.ravel(), minlength=n)
         want = system.expected_point_count()
-        off = next((v for v in range(n) if per_point[v] != want), None)
-        if off is not None:
-            problems.append(
-                f"point {off} lies in {per_point[off]} blocks, expected {want}"
-            )
+        off = np.flatnonzero(per_point != want)
+        if off.size:
+            v = int(off[0])
+            problems.append(f"point {v} lies in {per_point[v]} blocks, expected {want}")
 
     return SteinerReport(ok=not problems, problems=tuple(problems))
+
+
+def _colex_unrank3(ranks: np.ndarray, n: int) -> np.ndarray:
+    """(len(ranks), 3) sorted triples over [0, n) with the given colex ranks."""
+    out = np.empty((len(ranks), 3), dtype=np.intp)
+    rest = ranks.astype(np.int64)
+    for i in (2, 1, 0):
+        # the largest c with C(c, i+1) <= rest
+        column = np.array([math.comb(c, i + 1) for c in range(n)], dtype=np.int64)
+        out[:, i] = np.searchsorted(column, rest, side="right") - 1
+        rest = rest - column[out[:, i]]
+    return out
 
 
 def write_design(system: SteinerSystem, stream: TextIO) -> None:

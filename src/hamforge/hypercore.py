@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence, TextIO
+
+import numpy as np
 
 from .errors import DegenerateCycle, ParseError
 
@@ -72,6 +75,25 @@ class Hypergraph:
     def with_edge(self, edge: Iterable[int]) -> "Hypergraph":
         e = _normalize_edge(edge, self.n, self.r)
         return Hypergraph(self.n, self.r, self.edges | {e})
+
+
+@lru_cache(maxsize=None)
+def _colex_binomials(n: int, r: int) -> np.ndarray:
+    """table[i, v] = C(v, i+1) for i < r and v < n."""
+    table = np.array([[math.comb(v, i + 1) for v in range(n)] for i in range(r)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def colex_rank(tuples, n: int) -> np.ndarray:
+    """Colex ranks of strictly increasing r-tuples over [0, n), along the last axis.
+
+    c_0 < ... < c_{r-1} ranks as sum C(c_i, i+1), a bijection from the r-sets
+    of [0, n) onto [0, C(n, r)).
+    """
+    a = np.asarray(tuples, dtype=np.intp)
+    r = a.shape[-1]
+    return _colex_binomials(n, r)[np.arange(r), a].sum(axis=-1)
 
 
 @dataclass(frozen=True)

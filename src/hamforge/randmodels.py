@@ -14,6 +14,8 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConstructionBug, InvalidParams
 from .hypercore import Edge, Hypergraph
 from .packing import PartitionedFamily
@@ -123,6 +125,10 @@ def build_quasirandom_from_partition(
     return graph
 
 
+# bytes of boolean temporaries one block of audited subsets may hold
+AUDIT_BLOCK_BYTES = 1 << 23
+
+
 @dataclass(frozen=True)
 class AuditReport:
     """Sampled relaxation of the half-set density definition.
@@ -182,13 +188,13 @@ def audit_quasirandomness(
         sub = tuple(sorted(extra))
         if len(sub) != half or len(set(sub)) != half:
             raise InvalidParams(f"extra subset must have floor(n/2) = {half} distinct vertices")
+        if sub[0] < 0 or sub[-1] >= graph.n:
+            raise InvalidParams(f"extra subset {sub} has a vertex outside [0,{graph.n})")
         subsets.append(sub)
 
     max_dev = 0.0
     violations = 0
-    for sub in subsets:
-        inside = set(sub)
-        count = sum(1 for e in graph.edges if inside.issuperset(e))
+    for count in _inside_counts(graph, subsets):
         dev = abs(count / denom - p)
         if dev > max_dev:
             max_dev = dev
@@ -202,3 +208,21 @@ def audit_quasirandomness(
         violations=violations,
         seed=seed,
     )
+
+
+def _inside_counts(graph: Hypergraph, subsets: Sequence[Sequence[int]]) -> list[int]:
+    """Edges of `graph` inside each vertex subset, counted over blocks of
+    subsets sized so their boolean temporaries fit AUDIT_BLOCK_BYTES."""
+    edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, graph.r)
+    rows = max(1, AUDIT_BLOCK_BYTES // (2 * len(edges) + graph.n))
+    counts: list[int] = []
+    for start in range(0, len(subsets), rows):
+        block = subsets[start : start + rows]
+        inside = np.zeros((len(block), graph.n), dtype=bool)
+        for i, sub in enumerate(block):
+            inside[i, list(sub)] = True
+        hit = inside[:, edges[:, 0]]
+        for j in range(1, graph.r):
+            hit &= inside[:, edges[:, j]]
+        counts += np.count_nonzero(hit, axis=1).tolist()
+    return counts

@@ -1,14 +1,21 @@
+import itertools
 import random
+import re
 
 import pytest
 
 from hamforge.counting import exact_ham_count, expectation_value
+from hamforge import estimators
 from hamforge.errors import (
     FamilyIncomplete,
     FamilyKindMismatch,
     InsufficientGoodSamples,
+    InvalidParams,
+    ScaleLimit,
 )
 from hamforge.estimators import (
+    MC_BLOCK,
+    Estimate,
     classify,
     gbar_star_formula,
     mc_expected_H,
@@ -162,6 +169,67 @@ def test_incomplete_family_raises():
     fam = PartitionedFamily(n=6, r=3, k=1, element_groups=((el,),), leftover_groups=())
     with pytest.raises(FamilyIncomplete):
         classify(tuple(range(6)), fam)
+
+
+def test_classify_rejects_wrong_length(fam17):
+    with pytest.raises(InvalidParams):
+        classify(tuple(range(10)), fam17)
+
+
+def test_incomplete_family_raises_through_the_pass():
+    el = FamilyElement(vertices=(0, 1, 2), edges=((0, 1, 2),))
+    fam = PartitionedFamily(n=6, r=3, k=1, element_groups=((el,),), leftover_groups=())
+    # the first window of the first sample that the family cannot locate
+    perm = estimators._random_permutation(6, random.Random(4))
+    doubled = perm + perm[:2]
+    want = next(w for w in (tuple(sorted(doubled[i : i + 3])) for i in range(6)) if w != (0, 1, 2))
+    with pytest.raises(FamilyIncomplete, match=f"window {re.escape(str(want))} is not"):
+        mc_fbar_and_bound(fam, DensitySpec(1, 2), 5, random.Random(4))
+
+
+@pytest.mark.parametrize("name", ["fam17", "fam10", "fam40", "singleton"])
+def test_pass_matches_per_sample_classify(name, request, monkeypatch):
+    # the block pass feeds Estimate.of the same lists, in sample order, as
+    # classifying each permutation of the replayed stream one at a time
+    fam = singleton_leftover_family(8, 3) if name == "singleton" else request.getfixturevalue(name)
+    samples = 2 * MC_BLOCK + 37
+    stream = random.Random(41)
+    want = {"bad": [], "f": [], "g": [], "g_all": []}
+    for _ in range(samples):
+        c = classify(estimators._random_permutation(fam.n, stream), fam)
+        want["g_all"].append(float(c.g_value))
+        want["bad"].append(0.0 if c.is_good else 1.0)
+        if c.is_good:
+            want["f"].append(float(c.f_value))
+            want["g"].append(float(c.g_value))
+
+    seen = []
+    original = Estimate.of.__func__
+
+    def record(cls, values):
+        seen.append(list(values))
+        return original(cls, values)
+
+    monkeypatch.setattr(Estimate, "of", classmethod(record))
+    mc_fbar_and_bound(fam, DensitySpec(1, 2), samples, random.Random(41))
+    assert seen == [want["bad"], want["f"], want["g"], want["g_all"]]
+    if name == "fam40":
+        assert 0 < sum(want["bad"]) < samples
+
+
+@pytest.mark.parametrize("odd", [(2, 1, 0), (0, 1), (0, 1, 7), ("0", "1", "2")])
+def test_malformed_family_edge_locates_nothing(odd):
+    # an edge that is not a sorted triple of [0, 6) can hold no window
+    edges = [odd if e == (0, 1, 2) else e for e in itertools.combinations(range(6), 3)]
+    fam = PartitionedFamily(n=6, r=3, k=1, element_groups=(), leftover_groups=tuple((e,) for e in edges))
+    with pytest.raises(FamilyIncomplete, match=r"window \(0, 1, 2\) is not"):
+        classify(range(6), fam)
+
+
+def test_owner_table_scale_limit():
+    fam = PartitionedFamily(n=2000, r=3, k=1, element_groups=(), leftover_groups=())
+    with pytest.raises(ScaleLimit):
+        classify(range(2000), fam)
 
 
 def test_gbar_star_steiner17_zero(fam17):

@@ -123,6 +123,32 @@ def test_mutations_fail_validation():
     assert any("duplicate" in p or "covered 2 times" in p for p in report2.problems)
 
 
+def test_validation_problems_are_pinned():
+    blocks = build_spherical_steiner(3, 2).blocks
+    cases = {
+        blocks[:-1] + (blocks[0],): [
+            "duplicate blocks present",
+            "triple (0, 1, 2) covered 2 times",
+            "triple (5, 6, 8) covered 0 times",
+            "point 0 lies in 13 blocks, expected 12",
+        ],
+        blocks + (blocks[1],) * 300: [
+            "duplicate blocks present",
+            "block count 330 != C(n,3)/C(q+1,3) = 30",
+            "triple (0, 1, 4) covered 301 times",
+            "point 0 lies in 312 blocks, expected 12",
+        ],
+        (): [
+            "block count 0 != C(n,3)/C(q+1,3) = 30",
+            "triple (0, 1, 2) covered 0 times",
+            "point 0 lies in 0 blocks, expected 12",
+        ],
+    }
+    for mutated, problems in cases.items():
+        report = verify_steiner(SteinerSystem(n=10, q=3, s=2, blocks=mutated))
+        assert list(report.problems) == problems
+
+
 def test_invalid_and_scale_params():
     with pytest.raises(InvalidParams):
         build_spherical_steiner(6, 2)

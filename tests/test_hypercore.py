@@ -10,11 +10,21 @@ from hamforge.hypercore import (
     CanonicalCycle,
     Hypergraph,
     canonicalize,
+    colex_rank,
     read_hypergraph,
     symmetry_images,
     window_set,
     write_hypergraph,
 )
+
+
+@pytest.mark.parametrize("n,r", [(7, 3), (9, 4), (6, 2), (5, 5)])
+def test_colex_rank_is_a_bijection(n, r):
+    sets = list(itertools.combinations(range(n), r))
+    ranks = colex_rank(sets, n).tolist()
+    assert sorted(ranks) == list(range(math.comb(n, r)))
+    # colex order: compare the largest vertex first
+    assert ranks == [sorted(sets, key=lambda c: c[::-1]).index(c) for c in sets]
 
 
 def test_window_set_r3_example():

@@ -10,6 +10,7 @@ from hamforge.errors import ConstructionBug, InvalidParams
 from hamforge.geometry import build_spherical_steiner
 from hamforge.hypercore import Hypergraph
 from hamforge.packing import family_from_design
+from hamforge import randmodels
 from hamforge.randmodels import (
     AuditReport,
     DensitySpec,
@@ -165,6 +166,33 @@ def test_audit_planted_subsets_only():
         extra_subsets=[range(4), range(4, 8)],
     )
     assert report.samples == 2 and report.passed
+
+
+def test_audit_rejects_out_of_range_planted_vertex():
+    for sub in [(0, 1, 2, 100), (0, 1, 2, -1)]:
+        with pytest.raises(InvalidParams):
+            audit_quasirandomness(
+                Hypergraph.complete(8, 3), epsilon=0.1, samples=0, rng=random.Random(1),
+                extra_subsets=[sub],
+            )
+
+
+def test_audit_counts_match_issuperset_across_blocks(monkeypatch):
+    g = sample_gnm(12, 3, 110, random.Random(3))
+    rng = random.Random(5)
+    subsets = [tuple(sorted(rng.sample(range(12), 6))) for _ in range(20)]
+    subsets += [tuple(range(6)), tuple(range(6, 12))]
+    want = [sum(1 for e in g.edges if set(sub).issuperset(e)) for sub in subsets]
+    # seven subsets per block: the 22 subsets span four blocks
+    monkeypatch.setattr(randmodels, "AUDIT_BLOCK_BYTES", 7 * (2 * g.edge_count + g.n))
+    assert randmodels._inside_counts(g, subsets) == want
+    report = audit_quasirandomness(
+        g, epsilon=0.1, samples=20, rng=random.Random(5), extra_subsets=subsets[20:]
+    )
+    devs = [abs(c / math.comb(6, 3) - g.density()) for c in want]
+    assert report.samples == 22
+    assert report.max_abs_deviation == max(devs)
+    assert report.violations == sum(d >= 0.1 for d in devs)
 
 
 def test_audit_report_json(steiner_family):
