@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +26,10 @@ DEFAULT_MEM_GIB = 8.0
 BRUTE_FORCE_MAX_N = 10
 TWO_FACTOR_MAX_N = 10
 MEMINFO = "/proc/meminfo"
+# a count whose largest layer is smaller runs all its prefixes on the calling thread
+THREAD_MIN_LAYER_BYTES = 1 << 20
+
+_kept_shape = None  # ((n, r), tables) of the last r > 2 shape counted; see _shape_tables
 
 
 def _default_mem_gib() -> float:
@@ -164,40 +169,48 @@ def _dp_moduli(n: int, r: int) -> tuple[int, ...]:
     return tuple(moduli)
 
 
-def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...]) -> int:
-    """Layered vectorized subset DP over the vertices outside an anchored prefix.
+def _buffer_entries(N: int, K: int, ng: int, moduli: tuple[int, ...]) -> int:
+    """Float64s in one layer buffer: the largest L, P or fmod of P of a count.
 
-    Returns twice the cycle count. Each prefix (0, ...) of r-1 vertices
-    leaves N = n-r+1 free vertices, addressed by slot. A layer L[t1, g, u, c]
-    counts, in channel c, the orderings of its placed free vertices that pass
-    every window so far and end at the frontier (t1, G). g indexes the
-    injective (r-2)-tuple G = (t2, ..., t_{r-1}) of slots, and u ranks the
-    placed set minus G among the subsets of the K = N-r+2 other slots
-    (_mask_layers order), with one trailing all-zero u column. With
-    E[g, v, t1] = 1 iff (t1, G, v) is an edge, one batched matmul gives
-    P[g, v, u], whose row (g, v) holds the new frontier (G, v). The next
-    layer reads P through one gather index per free slot, shared by every
-    prefix; a frontier whose t1 is not placed reads the zero column, so no
-    entry needs zeroing. The DP starts at layer r-1, weighted by the r-1
-    windows that touch the prefix, and closes with the r-1 that wrap
-    around. Below n = 2r-2 it counts the complements' (n-r)-graph; see
-    _dp_shape. Arrays are float64, in one exact channel until a step's
-    bound k! reaches min(moduli), then one per modulus; the closure sums
-    each channel in Python ints and the CRT joins them; see _dp_moduli.
+    Step k reads U-layer k, of comb(K, k) + 1 u columns, and writes layer
+    k+1, in len(moduli) channels once k! reaches min(moduli), else in one.
     """
-    n = graph.n
-    r, N, K, ng = _dp_shape(n, graph.r)
-    if r != graph.r:
-        everything = set(range(n))
-        graph = Hypergraph.from_edges(n, r, [everything.difference(e) for e in graph.edges])
-    layers = _mask_layers(K)
-    T = np.zeros((n,) * r)
-    edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, r).T
-    for perm in itertools.permutations(range(r)):
-        T[tuple(edges[list(perm)])] = 1
-    T = T.ravel()  # read at base-n window indices; every order of an edge is set
-    weights = n ** np.arange(r - 1, -1, -1)
+    fork = min(moduli, default=math.inf)
+    return N * ng * max([K + 1] + [(max(math.comb(K, k), math.comb(K, k + 1)) + 1)
+                                    * (len(moduli) if math.factorial(k) >= fork else 1)
+                                    for k in range(1, K)])
 
+
+def _dp_workers(n: int, r: int) -> int:
+    """Threads that share a count's anchored prefixes: at most one per CPU and per prefix.
+
+    r' = 2 (one prefix) and a count whose largest layer is under
+    THREAD_MIN_LAYER_BYTES run on the calling thread alone.
+    """
+    moduli = _dp_moduli(n, r)
+    r, N, K, ng = _dp_shape(n, r)
+    if 8 * _buffer_entries(N, K, ng, moduli) < THREAD_MIN_LAYER_BYTES:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, math.perm(n - 1, r - 2))
+
+
+def _shape_tables(n: int, r: int) -> tuple:
+    """(G, F, a, indices) of _dp_count_numpy for n vertices, with r the r' of _dp_shape.
+
+    indices[k-1] gives, per free slot t, the index into t's block of P from
+    U-layer k to k+1. For r > 2 all four are read-only and kept for the
+    next count of the same (n, r); one shape is kept, and a count of another
+    shape drops it before it builds its own. For r = 2 each step's indices
+    are built as the step runs, and nothing is kept.
+    """
+    global _kept_shape
+    kept = _kept_shape  # read once: a count in another thread may replace it
+    if kept is not None and kept[0] == (n, r):
+        return kept[1]
+    _kept_shape = None
+    _, N, K, ng = _dp_shape(n, r)
+    layers = _mask_layers(K)
     G = np.array(list(itertools.permutations(range(N), r - 2)), dtype=np.intp).reshape(ng, r - 2)
     gidx = np.zeros(N ** (r - 2), dtype=np.intp)
     gidx[G @ N ** np.arange(r - 3, -1, -1)] = np.arange(ng)
@@ -214,7 +227,6 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...]) -> int:
     a[~valid] = b[~valid] = rows[~valid] = 0
 
     def gather_indices(k):
-        """Per slot t, the index into t's block of P, from U-layer k to k+1."""
         cur, nxt = layers[k], layers[k + 1]
         width = len(cur) + 1
         itype = np.uint16 if ng * width <= 1 << 16 else np.int32
@@ -232,38 +244,116 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...]) -> int:
             yield umap
 
     indices = [gather_indices(k) for k in range(1, K)]
-    if r > 2:  # shared by every prefix, one array per layer; r=2 has one prefix and keeps none
-        indices = [np.stack(list(m)) for m in indices]
-    # seq[:, t, g] is prefix + F[t, g] + prefix; of its windows the first
-    # r-1 weight the start at layer r-1, and the last r-1 close the cycle
-    seq = np.empty((3 * r - 3, N, ng), dtype=np.intp)
+    if r == 2:
+        return G, F, a, indices
+    tables = (G, F, a, [np.stack(list(m)) for m in indices])
+    for table in (*tables[:3], *tables[3]):
+        table.setflags(write=False)
+    _kept_shape = ((n, r), tables)
+    return tables
+
+
+def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | None = None) -> int:
+    """Layered vectorized subset DP over the vertices outside an anchored prefix.
+
+    Returns twice the cycle count. Each prefix (0, ...) of r-1 vertices
+    leaves N = n-r+1 free vertices, addressed by slot. A layer L[t1, g, u, c]
+    counts, in channel c, the orderings of its placed free vertices that pass
+    every window so far and end at the frontier (t1, G). g indexes the
+    injective (r-2)-tuple G = (t2, ..., t_{r-1}) of slots, and u ranks the
+    placed set minus G among the subsets of the K = N-r+2 other slots
+    (_mask_layers order), with one trailing all-zero u column. With
+    E[g, v, t1] = 1 iff (t1, G, v) is an edge, one batched matmul gives
+    P[g, v, u], whose row (g, v) holds the new frontier (G, v). The next
+    layer reads P through one gather index per free slot, shared by every
+    prefix (_shape_tables); a frontier whose t1 is not placed reads the zero
+    column, so no entry needs zeroing. The DP starts at layer r-1, weighted
+    by the r-1 windows that touch the prefix, and closes with the r-1 that
+    wrap around. Below n = 2r-2 it counts the complements' (n-r)-graph; see
+    _dp_shape. Arrays are float64, in one exact channel until a step's
+    bound k! reaches min(moduli), then one per modulus; the closure sums
+    each channel in Python ints and the CRT joins them; see _dp_moduli.
+
+    The prefixes are split over `workers` threads (default _dp_workers):
+    the calling thread runs one share. Each worker keeps its layers in two
+    flat buffers, allocated here once per count: the matmul writes P into
+    the one that does not hold L, and the slot gathers write the next layer
+    back into the other. The sums are Python ints, so the split does not
+    change the total.
+    """
+    n = graph.n
+    r, N, K, ng = _dp_shape(n, graph.r)
+    workers = _dp_workers(n, graph.r) if workers is None else workers
+    if r != graph.r:
+        everything = set(range(n))
+        graph = Hypergraph.from_edges(n, r, [everything.difference(e) for e in graph.edges])
+    layers = _mask_layers(K)
+    T = np.zeros((n,) * r)
+    edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, r).T
+    for perm in itertools.permutations(range(r)):
+        T[tuple(edges[list(perm)])] = 1
+    T = T.ravel()  # read at base-n window indices; every order of an edge is set
+    weights = n ** np.arange(r - 1, -1, -1)
+    G, F, a, indices = _shape_tables(n, r)
     start = (*np.indices((N, ng)), a, 0)
     fork = min(moduli, default=math.inf)
-    totals = [0]
-    for mid in itertools.permutations(range(1, n), r - 2):
-        free = np.array([u for u in range(1, n) if u not in mid])
-        seq[: r - 1] = seq[2 * r - 2 :] = np.array((0,) + mid)[:, None, None]
-        seq[r - 1 : 2 * r - 2] = np.moveaxis(free[F], 2, 0)
-        w = T[sum(seq[j : j + 2 * r - 2] * weights[j] for j in range(r))]
-        L = np.zeros((N, ng, K + 1, 1))
-        L[start] = w[: r - 1].prod(0)
-        E = T[(free[G] @ weights[1:-1])[:, None, None] + free[:, None] + free * n ** (r - 1)]
-        for k, slot_indices in enumerate(indices, 1):
-            # row t of P is the block that slot t's next frontiers read: the
-            # rows whose G starts at t (r > 2), or row v = t (r = 2)
-            P = (E @ L.transpose(1, 0, 2, 3).reshape(ng, N, -1)).reshape(N, -1, L.shape[-1])
-            # no other name or view holds the old layer, so it is freed here,
-            # before the new one is allocated: at most two layer-sized arrays
-            # are live at once, and the reduced P at a reducing step
-            del L
-            if math.factorial(k) >= fork:
-                P = np.fmod(P, np.array(moduli, dtype=np.float64))
-            L = np.empty((N, ng, len(layers[k + 1]) + 1, P.shape[-1]))
-            for t, idx in enumerate(slot_indices):
-                P[t].take(idx, axis=0, out=L[t], mode="clip")
-            del P
-        ends = L[..., 0, :][w[r - 1 :].prod(0) != 0].T.tolist()
-        totals = [s + sum(map(int, ch)) for s, ch in zip(itertools.cycle(totals), ends)]
+    residues = np.array(moduli, dtype=np.float64)
+
+    def count_share(prefixes, buffers):
+        # seq[:, t, g] is prefix + F[t, g] + prefix; of its windows the first
+        # r-1 weight the start at layer r-1, and the last r-1 close the cycle
+        seq = np.empty((3 * r - 3, N, ng), dtype=np.intp)
+        totals = [0]
+        for mid in prefixes:
+            free = np.array([u for u in range(1, n) if u not in mid])
+            seq[: r - 1] = seq[2 * r - 2 :] = np.array((0,) + mid)[:, None, None]
+            seq[r - 1 : 2 * r - 2] = np.moveaxis(free[F], 2, 0)
+            w = T[sum(seq[j : j + 2 * r - 2] * weights[j] for j in range(r))]
+            E = T[(free[G] @ weights[1:-1])[:, None, None] + free[:, None] + free * n ** (r - 1)]
+            src, dst = buffers  # src holds the layer, dst is free
+            L = src[: N * ng * (K + 1)].reshape(N, ng, K + 1, 1)
+            L.fill(0)
+            L[start] = w[: r - 1].prod(0)
+            for k, slot_indices in enumerate(indices, 1):
+                # row t of P is the block that slot t's next frontiers read: the
+                # rows whose G starts at t (r > 2), or row v = t (r = 2)
+                c = L.shape[-1]
+                P = np.matmul(E, L.transpose(1, 0, 2, 3).reshape(ng, N, -1),
+                              out=dst[: L.size].reshape(ng, N, -1)).reshape(N, -1, c)
+                src, dst = dst, src
+                if math.factorial(k) >= fork:
+                    c = len(moduli)
+                    P = np.fmod(P, residues, out=dst[: P[..., 0].size * c].reshape(N, -1, c))
+                    src, dst = dst, src
+                L = dst[: N * ng * (len(layers[k + 1]) + 1) * c].reshape(N, ng, -1, c)
+                for t, idx in enumerate(slot_indices):
+                    P[t].take(idx, axis=0, out=L[t], mode="clip")
+                src, dst = dst, src
+            ends = L[..., 0, :][w[r - 1 :].prod(0) != 0].T.tolist()
+            totals = [s + sum(map(int, ch)) for s, ch in zip(itertools.cycle(totals), ends)]
+        return totals
+
+    prefixes = list(itertools.permutations(range(1, n), r - 2))
+    workers = min(workers, len(prefixes))
+    size = _buffer_entries(N, K, ng, moduli)
+    buffers = [(np.empty(size), np.empty(size)) for _ in range(workers)]  # on this thread
+    shares: list = [None] * workers
+
+    def run(j):
+        try:
+            shares[j] = count_share(prefixes[j::workers], buffers[j])
+        except BaseException as exc:  # re-raised on the calling thread
+            shares[j] = exc
+
+    threads = [threading.Thread(target=run, args=(j,)) for j in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors := [share for share in shares if isinstance(share, BaseException)]:
+        raise errors[0]
+    totals = [sum(channel) for channel in zip(*shares)]
     if not moduli:
         return totals[0]
     big = math.prod(moduli)  # if no step reduced, the one exact total serves every modulus
@@ -271,46 +361,52 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...]) -> int:
                for m, t in zip(moduli, itertools.cycle(totals))) % big
 
 
-def _estimate_dp_bytes(n: int, r: int) -> int:
-    """Upper bound on the bytes _dp_count_numpy(graph, _dp_moduli(n, r)) holds.
+def _estimate_dp_bytes(n: int, r: int, workers: int | None = None) -> int:
+    """Upper bound on the bytes _dp_count_numpy(graph, _dp_moduli(n, r), workers) holds.
 
-    L and P hold e_k = N * ng * (comb(K, k) + 1) float64s per channel at
-    U-layer k (see _dp_shape). Step k holds two arrays at once, in at most
-    c_k channels, P's count after step k: L and P in the matmul, P and its
-    reduction in the fmod, P and the next L in the gather. For r > 2 every
-    layer's gather indices are kept: e_k uint16s or int32s at layer k. take
-    casts a slot's index to intp, and for r = 2 the index is built as the
-    step runs: six intp per entry of a slot's block cover both. T holds n^r
-    entries, plus an intp each for its edge lists; E holds ng * N^2, plus
-    two intp each to build it. The frontier index arrays take 10r intp per
-    frontier, the mask table 2^K int64s and its build two more. 64 KiB
-    covers array headers and small Python objects.
+    workers defaults to _dp_workers(n, r). Each worker holds two layer
+    buffers of _buffer_entries float64s: L, P, the fmod of P and the next L
+    all live in them. take casts a slot's index to intp, and for r = 2 the
+    index is built as the step runs: six intp per entry of a slot's block,
+    at the widest layer e_k = N * ng * (comb(K, k) + 1) (see _dp_shape),
+    cover both. E holds ng * N^2 float64s, plus two intp each to build it,
+    and the start and closure windows take 12r intp per frontier; each
+    worker holds its own. Shared once: for r > 2 the kept shape tables, that
+    is every layer's gather indices (e_{k+1} uint16s or int32s at layer k)
+    and the frontier index arrays, which with their build take 10r intp per
+    frontier; T with n^r entries plus an intp each for its edge lists; the
+    mask table's 2^K int64s and two more to build it. 64 KiB covers array
+    headers, small Python objects and the threads.
     """
+    workers = _dp_workers(n, r) if workers is None else workers
     moduli = _dp_moduli(n, r)
-    fork = min(moduli, default=math.inf)
     r, N, K, ng = _dp_shape(n, r)
     e = [N * ng * (math.comb(K, k) + 1) for k in range(K + 1)]
-    layers = max(((e[k] + max(e[k], e[k + 1])) * (len(moduli) if math.factorial(k) >= fork else 1)
-                  for k in range(1, K)), default=e[1])
     indices = sum(e[k + 1] * (2 if ng * (math.comb(K, k) + 1) <= 1 << 16 else 4)
                   for k in range(1, K)) if r > 2 else 0
-    return (8 * layers + 48 * e[K // 2] // N + indices + n**r * 16 + ng * N * N * 24
-            + 10 * r * 8 * N * ng + 3 * 8 * 2**K + (1 << 16))
+    worker = (16 * _buffer_entries(N, K, ng, moduli) + 48 * e[K // 2] // N + ng * N * N * 24
+              + 12 * r * 8 * N * ng)
+    return (workers * worker + indices + n**r * 16 + 10 * r * 8 * N * ng + 3 * 8 * 2**K
+            + (1 << 16))
 
 
 def exact_ham_count(graph: Hypergraph) -> CountResult:
     """Exact Hamiltonian cycle count via subset DP with an ordered (r-1)-frontier.
 
     Equals brute_force_ham_count on its whole domain; one float64 DP serves
-    every n (_dp_moduli). Raises ScaleLimit with a state-count estimate when
-    the DP would exceed the memory budget: min(8 GiB, half of MemAvailable)
+    every n (_dp_moduli). It runs on the most workers, up to _dp_workers,
+    whose estimate fits the memory budget: min(8 GiB, half of MemAvailable)
     by default, or HAMFORGE_MEM_GIB, which must be a finite number > 0.
+    Raises ScaleLimit with a state-count estimate when one worker does not fit.
     """
     n, r = graph.n, graph.r
     if n < r + 2:
         raise DegenerateCycle(f"need n >= r+2 (got n={n}, r={r})")
-    need = _estimate_dp_bytes(n, r)
     budget = _mem_budget_bytes()
+    workers = _dp_workers(n, r)
+    while workers > 1 and _estimate_dp_bytes(n, r, workers) > budget:
+        workers -= 1
+    need = _estimate_dp_bytes(n, r, workers)
     if need > budget:
         _, N, K, ng = _dp_shape(n, r)
         raise ScaleLimit(
@@ -318,7 +414,7 @@ def exact_ham_count(graph: Hypergraph) -> CountResult:
             f"(~{N * ng * math.comb(K, K // 2):,} peak states), "
             f"budget is {budget / (1 << 30):.2f} GiB"
         )
-    total = _dp_count_numpy(graph, _dp_moduli(n, r))
+    total = _dp_count_numpy(graph, _dp_moduli(n, r), workers)
     assert total % 2 == 0
     return CountResult(count=total // 2, method="subset_dp")
 

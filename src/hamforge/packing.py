@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 from .errors import (
     ConstructionBug,
@@ -472,7 +475,10 @@ class PartitionedFamily:
         return None
 
     def validate(self) -> None:
+        n, r = self.n, self.r
         seen: set[Edge] = set()
+        listed: list[Edge] = []
+        placed: set = set()
         for gi, grp in enumerate(self.groups()):
             if len(grp) != self.k:
                 raise InvalidParams(f"group {gi} has {len(grp)} members, expected {self.k}")
@@ -485,6 +491,21 @@ class PartitionedFamily:
                     if e in seen:
                         raise InvalidParams(f"edge {e} appears twice in the family")
                     seen.add(e)
+                listed.extend(edges)
+            placed |= used
+        bad = [x for x in placed if type(x) is not int or not 0 <= x < n]
+        if bad:
+            raise InvalidParams(f"a member has the vertex {bad[0]!r}, outside [0,{n})")
+        # the edges are checked in bulk first: a Python test per edge would cost
+        # more than the loop above on an S(3,4,82) family
+        flat = np.array(list(itertools.chain.from_iterable(listed)))
+        rows = flat.reshape(-1, r) if flat.dtype.kind == "i" and set(map(len, listed)) == {r} else None
+        if listed and (rows is None or rows[:, 0].min() < 0 or rows[:, -1].max() >= n
+                       or (rows[:, 1:] <= rows[:, :-1]).any()):
+            e = next(e for e in listed
+                     if not (len(e) == r and all(type(x) is int and 0 <= x < n for x in e)
+                             and all(map(operator.lt, e, e[1:]))))
+            raise InvalidParams(f"edge {e} is not an increasing {r}-tuple of vertices in [0,{n})")
 
     def to_json_dict(self) -> dict:
         return {
@@ -526,9 +547,9 @@ class PartitionedFamily:
                     tuple(tuple(e) for e in grp) for grp in data["leftover_groups"]
                 ),
             )
+            fam.validate()  # hashes each vertex and edge: a nested list is a TypeError
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed family JSON: {exc}") from None
-        fam.validate()
         return fam
 
 

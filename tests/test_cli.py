@@ -208,6 +208,29 @@ def test_truncated_family_json_exits_2(tmp_path, capsys):
     assert "ParseError" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("member, error", [
+    ({"vertices": [0, 1, 5], "edges": [[0, 1, 9]]}, "InvalidParams"),  # edge outside [0, n)
+    ({"vertices": [0, 1, 9], "edges": [[0, 1, 9]]}, "InvalidParams"),  # vertex outside [0, n)
+    ({"vertices": [0, 1, 5], "edges": [[1, 0, 5]]}, "InvalidParams"),  # edge not increasing
+    ({"vertices": [0, 1, 5], "edges": [[0, 1]]}, "InvalidParams"),  # edge of the wrong size
+    ({"vertices": [0, 1, 5], "edges": [[0, 1, 2.0]]}, "InvalidParams"),  # not an int
+    ({"vertices": [0, 1, 5], "edges": [[0, 1, [5]]]}, "ParseError"),  # not a vertex at all
+])
+def test_family_with_a_bad_member_exits_2_on_every_seed(tmp_path, capsys, member, error):
+    # the build picks one member of the pair per seed, so a family checked
+    # only where it is read would fail on some seeds and build on others
+    fam = tmp_path / "f.json"
+    fam.write_text(json.dumps({
+        "n": 6, "r": 3, "k": 2, "steiner_q": None, "leftover_groups": [],
+        "element_groups": [[member, {"vertices": [2, 3, 4], "edges": [[2, 3, 4]]}]],
+    }))
+    for seed in range(1, 12):
+        assert run(["build", "--family", fam, "--l", 1, "--seed", seed,
+                    "--out", tmp_path / "g.txt"]) == 2, seed
+        err = capsys.readouterr().err
+        assert err.startswith(error) and "Traceback" not in err, err
+
+
 def _experiment_files(out_dir, preset, workers, extra):
     assert run(["experiment", "--preset", preset, "--seed", 42, "--workers", workers,
                 "--out-dir", out_dir, *extra]) == 0

@@ -2,7 +2,9 @@ import itertools
 import math
 import os
 import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -189,6 +191,100 @@ def test_memory_estimate_covers_traced_peak():
         finally:
             tracemalloc.stop()
         assert peak <= _estimate_dp_bytes(n, r), (n, r, peak)
+
+
+PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(counting, "_dp_workers", lambda n, r: workers)
+
+
+def test_counts_do_not_depend_on_the_worker_count(monkeypatch):
+    rng = random.Random(13)
+    # r = 2 to 6; (8, 5) counts the complements' 3-graph; (13, 3) and (12, 4)
+    # are below THREAD_MIN_LAYER_BYTES, so they run on one thread by default
+    graphs = [random_hypergraph(n, r, p, rng) for n, r, p in
+              [(13, 2, 0.5), (13, 3, 0.4), (12, 4, 0.5), (9, 5, 0.7), (8, 5, 0.8), (10, 6, 0.8)]]
+    assert counting._dp_workers(13, 3) == counting._dp_workers(12, 4) == 1
+    assert counting._dp_workers(20, 2) == 1  # one prefix
+    assert 1 <= counting._dp_workers(17, 3) <= 16
+
+    def counts(workers):
+        # the ten primes fork the channels at every r but 6, whose 3024
+        # prefixes make the slowest count here
+        _force_workers(monkeypatch, workers)
+        return [(exact_ham_count(g).count, g.r < 6 and _dp_count_numpy(g, PRIMES))
+                for g in graphs]
+
+    want = counts(1)
+    assert all(2 * count == residues for count, residues in want[:-1])
+    assert counts(2) == want
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more workers than cores, switching often
+    try:
+        assert counts(3) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_budget_picks_the_most_workers_that_fit(monkeypatch):
+    g = random_hypergraph(12, 3, 0.5, random.Random(8))
+    want = dict_dp_count(g) // 2
+    _force_workers(monkeypatch, 2)
+    one, two = _estimate_dp_bytes(12, 3, 1), _estimate_dp_bytes(12, 3, 2)
+    assert one < two == _estimate_dp_bytes(12, 3)
+    used = []
+    count_numpy = counting._dp_count_numpy
+    monkeypatch.setattr(counting, "_dp_count_numpy",
+                        lambda graph, moduli, workers: used.append(workers)
+                        or count_numpy(graph, moduli, workers))
+    for budget, workers in [(two, 2), ((one + two) // 2, 1), (one, 1)]:
+        monkeypatch.setenv("HAMFORGE_MEM_GIB", repr(budget / (1 << 30)))
+        assert exact_ham_count(g).count == want
+        assert used.pop() == workers
+    monkeypatch.setenv("HAMFORGE_MEM_GIB", repr((one - 1024) / (1 << 30)))
+    with pytest.raises(ScaleLimit) as err:
+        exact_ham_count(g)
+    assert "states" in str(err.value) and not used
+
+
+def test_kept_shape_tables_follow_the_last_shape(monkeypatch):
+    rng = random.Random(17)
+    a1, a2 = (random_hypergraph(11, 3, 0.5, rng) for _ in range(2))
+    b = random_hypergraph(10, 4, 0.6, rng)
+    c = random_hypergraph(12, 2, 0.5, rng)
+    want = {g: dict_dp_count(g) // 2 for g in (a1, a2, b, c)}
+    monkeypatch.setattr(counting, "_kept_shape", None)
+    for g, kept in [(a1, (11, 3)), (b, (10, 4)), (a2, (11, 3)), (a1, (11, 3)), (c, None)]:
+        assert exact_ham_count(g).count == want[g]
+        assert (counting._kept_shape and counting._kept_shape[0]) == kept
+        if kept:
+            G, F, a, indices = counting._kept_shape[1]
+            assert not any(t.flags.writeable for t in (G, F, a, *indices))
+    # counts of two shapes on four threads replace the kept shape under each other
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            graphs = [a1, b, a2, c] * 4
+            got = list(pool.map(lambda g: exact_ham_count(g).count, graphs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want[g] for g in graphs]
+
+
+def test_memory_estimate_covers_traced_peak_of_split_counts(monkeypatch):
+    for n, r in [(13, 3), (12, 4), (16, 3)]:
+        g = Hypergraph.complete(n, r)
+        monkeypatch.setattr(counting, "_kept_shape", None)
+        tracemalloc.start()
+        try:
+            _dp_count_numpy(g, _dp_moduli(n, r), 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= _estimate_dp_bytes(n, r, 2), (n, r, peak)
 
 
 def _mem_available_bytes():
