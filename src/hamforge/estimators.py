@@ -11,12 +11,12 @@ products are carried in log2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from random import Random
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .counting import exact_ham_count, log2_expectation_value
 from .errors import (
@@ -69,19 +69,20 @@ def _owner_index(family: PartitionedFamily) -> tuple[np.ndarray, np.ndarray]:
             group_of.extend([gi] * len(es))
             member_of.extend([mi] * len(es))
     try:
-        arr = np.array(edges)
-    except ValueError:  # ragged: some edge does not have r vertices
+        arr = np.array(list(itertools.chain.from_iterable(edges)))
+    except ValueError:  # some vertex is itself a sequence
         arr = None
-    if arr is None or arr.dtype.kind != "i" or arr.shape != (len(edges), r):
+    if arr is None or arr.dtype.kind != "i" or set(map(len, edges)) - {r}:
         # an edge that is not an r-tuple of vertices equals no window; a row
         # of -1 keeps its place and fails the range test below
         arr = np.array(
             [e if len(e) == r and all(type(v) is int and 0 <= v < n for v in e) else (-1,) * r
              for e in edges],
             dtype=np.int64,
-        ).reshape(-1, r)
+        )
+    arr = arr.reshape(-1, r)
     keep = (arr[:, 0] >= 0) & (arr[:, -1] < n) & (np.diff(arr, axis=1) > 0).all(axis=1)
-    ranks = colex_rank(arr[keep], n)
+    ranks = colex_rank(arr[keep].T, n)
     group = np.full(math.comb(n, r), -1, dtype=np.int32)
     member = np.full(math.comb(n, r), -1, dtype=np.int32)
     group[ranks] = np.array(group_of, dtype=np.int32)[keep]
@@ -95,14 +96,21 @@ def _window_owners(perms: np.ndarray, family: PartitionedFamily) -> tuple[np.nda
     of permutations; FamilyIncomplete names the first unlocatable window in
     row order."""
     group, member = _owner_index(family)
-    r = family.r
+    n, r = family.n, family.r
     doubled = np.concatenate([perms, perms[:, : r - 1]], axis=1)
-    windows = np.sort(sliding_window_view(doubled, r, axis=1), axis=-1)
-    ranks = colex_rank(windows, family.n)
+    # column i holds entry i of every window; r rounds of an odd-even
+    # transposition network sort each window across the columns
+    cols = [doubled[:, i : i + n] for i in range(r)]
+    for rnd in range(r):
+        for i in range(rnd % 2, r - 1, 2):
+            lo, hi = cols[i], cols[i + 1]
+            cols[i], cols[i + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
+    ranks = colex_rank(cols, n)
     gs = group[ranks]
     missing = np.flatnonzero(gs < 0)
     if missing.size:
-        w = tuple(windows.reshape(-1, r)[missing[0]].tolist())
+        row, pos = divmod(int(missing[0]), n)
+        w = tuple(int(c[row, pos]) for c in cols)
         raise FamilyIncomplete(f"window {w} is not locatable in the family")
     return gs, member[ranks]
 
@@ -173,10 +181,28 @@ class Estimate:
         return {"mean": self.mean, "ci3": self.ci3, "samples": self.samples}
 
 
-def _random_permutation(n: int, rng: Random) -> tuple[int, ...]:
-    order = list(range(n))
-    rng.shuffle(order)
-    return tuple(order)
+def _permutation_rows(n: int, rows: int, rng: Random) -> np.ndarray:
+    """A (rows, n) array of uniform permutations: row t is the list that the
+    t-th `rng.shuffle(list(range(n)))` would leave.
+
+    Each row takes the steps of Durstenfeld's shuffle as `Random.shuffle`
+    does: for i = n-1 ... 1, j = getrandbits((i+1).bit_length()), drawn again
+    while j > i, then x[i] and x[j] swap. The generator reads the same words
+    in the same order and ends in the same state.
+    """
+    draw = rng.getrandbits
+    steps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+    identity = list(range(n))
+    out = []
+    for _ in range(rows):
+        x = identity.copy()
+        for i, k in steps:
+            j = draw(k)
+            while j > i:
+                j = draw(k)
+            x[i], x[j] = x[j], x[i]
+        out.append(x)
+    return np.array(out, dtype=np.intp)
 
 
 def gbar_star_formula(family: PartitionedFamily) -> float:
@@ -269,8 +295,7 @@ def mc_fbar_and_bound(
     g_all: list[float] = []
     for start in range(0, samples, MC_BLOCK):
         rows = min(MC_BLOCK, samples - start)
-        perms = np.array([_random_permutation(n, rng) for _ in range(rows)], dtype=np.intp)
-        bad, f, g = _block_stats(perms, family)
+        bad, f, g = _block_stats(_permutation_rows(n, rows, rng), family)
         good = ~bad
         over = np.flatnonzero(good & (f > n - g))
         if over.size:

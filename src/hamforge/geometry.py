@@ -331,7 +331,8 @@ def verify_steiner(system: SteinerSystem) -> SteinerReport:
 
         def triple_ranks():
             for start in range(0, len(blocks), step):
-                yield colex_rank(blocks[start : start + step][:, positions], n).ravel()
+                chunk = blocks[start : start + step]
+                yield colex_rank([chunk[:, col] for col in positions.T], n).ravel()
 
         coverage = bytearray(math.comb(n, 3))
         marks = np.frombuffer(coverage, dtype=np.uint8)

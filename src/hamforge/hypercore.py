@@ -85,15 +85,20 @@ def _colex_binomials(n: int, r: int) -> np.ndarray:
     return table
 
 
-def colex_rank(tuples, n: int) -> np.ndarray:
-    """Colex ranks of strictly increasing r-tuples over [0, n), along the last axis.
+def colex_rank(columns, n: int) -> np.ndarray:
+    """Colex ranks of r-sets over [0, n) given as r columns of one shape.
 
-    c_0 < ... < c_{r-1} ranks as sum C(c_i, i+1), a bijection from the r-sets
-    of [0, n) onto [0, C(n, r)).
+    Column i holds the i-th smallest vertex of every set, c_0 < ... < c_{r-1}
+    elementwise; an (m, r) array of increasing tuples passes as its transpose.
+    A set ranks as sum C(c_i, i+1), a bijection from the r-sets of [0, n) onto
+    [0, C(n, r)). The sum adds one 1-D gather per column in place.
     """
-    a = np.asarray(tuples, dtype=np.intp)
-    r = a.shape[-1]
-    return _colex_binomials(n, r)[np.arange(r), a].sum(axis=-1)
+    columns = [np.asarray(c, dtype=np.intp) for c in columns]
+    table = _colex_binomials(n, len(columns))
+    ranks = table[0][columns[0]]
+    for row, col in zip(table[1:], columns[1:]):
+        ranks += row[col]
+    return ranks
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .errors import (
     ParseError,
     PartitionFailed,
     RetryBudgetExhausted,
+    ScaleLimit,
 )
 from .geometry import SteinerSystem
 from .hypercore import Edge
@@ -476,9 +477,11 @@ class PartitionedFamily:
 
     def validate(self) -> None:
         n, r = self.n, self.r
-        seen: set[Edge] = set()
         listed: list[Edge] = []
         placed: set = set()
+        member_vertices: list[int] = []  # every member's vertices, member by member
+        vertex_counts: list[int] = []
+        edge_counts: list[int] = []
         for gi, grp in enumerate(self.groups()):
             if len(grp) != self.k:
                 raise InvalidParams(f"group {gi} has {len(grp)} members, expected {self.k}")
@@ -487,25 +490,56 @@ class PartitionedFamily:
                 if not used.isdisjoint(vertices):
                     raise InvalidParams(f"group {gi} member {a} shares a vertex with another member")
                 used.update(vertices)
-                for e in edges:
-                    if e in seen:
-                        raise InvalidParams(f"edge {e} appears twice in the family")
-                    seen.add(e)
+                member_vertices.extend(vertices)
+                vertex_counts.append(len(vertices))
                 listed.extend(edges)
+                edge_counts.append(len(edges))
             placed |= used
+        if len(set(listed)) < len(listed):
+            seen: set[Edge] = set()
+            e = next(e for e in listed if e in seen or seen.add(e))
+            raise InvalidParams(f"edge {e} appears twice in the family")
         bad = [x for x in placed if type(x) is not int or not 0 <= x < n]
         if bad:
             raise InvalidParams(f"a member has the vertex {bad[0]!r}, outside [0,{n})")
-        # the edges are checked in bulk first: a Python test per edge would cost
-        # more than the loop above on an S(3,4,82) family
+        if not listed:
+            return
+        # the edges are checked in bulk first, and scanned one by one only to
+        # name a bad one: a Python test per edge would cost more than the loop
+        # above on an S(3,4,82) family
         flat = np.array(list(itertools.chain.from_iterable(listed)))
         rows = flat.reshape(-1, r) if flat.dtype.kind == "i" and set(map(len, listed)) == {r} else None
-        if listed and (rows is None or rows[:, 0].min() < 0 or rows[:, -1].max() >= n
-                       or (rows[:, 1:] <= rows[:, :-1]).any()):
+        if (rows is None or rows[:, 0].min() < 0 or rows[:, -1].max() >= n
+                or (rows[:, 1:] <= rows[:, :-1]).any()
+                # numpy reads a bool as 0 or 1, so only an edge holding 0 or 1 can hide one
+                or any(type(x) is bool for i in np.flatnonzero(rows[:, 0] <= 1).tolist()
+                       for x in listed[i])):
             e = next(e for e in listed
                      if not (len(e) == r and all(type(x) is int and 0 <= x < n for x in e)
                              and all(map(operator.lt, e, e[1:]))))
             raise InvalidParams(f"edge {e} is not an increasing {r}-tuple of vertices in [0,{n})")
+        # an edge lies inside its member when each of its (member, vertex) keys
+        # member * span + vertex is among the member's own, looked up column by
+        # column in the sorted keys; a last key above all others keeps every
+        # lookup in range
+        span = 1 + max(int(rows.max()), max(member_vertices, default=0))
+        if len(edge_counts) * span > np.iinfo(np.int64).max:
+            raise ScaleLimit(f"{len(edge_counts)} members with vertices up to {span - 1} "
+                             "overflow int64 keys")
+        base = np.arange(len(edge_counts) + 1, dtype=np.int64) * span
+        own = np.repeat(base[:-1], vertex_counts) + member_vertices
+        own = np.sort(np.concatenate([own, base[-1:]]))
+        edge_base = np.repeat(base[:-1], edge_counts)
+        inside = np.ones(len(listed), dtype=bool)
+        for col in rows.T:
+            keys = edge_base + col
+            inside &= own[np.searchsorted(own, keys)] == keys
+        if not inside.all():
+            i = int(np.argmin(inside))
+            m = int(np.searchsorted(np.cumsum(edge_counts), i, side="right"))
+            labels = ((gi, a) for gi, grp in enumerate(self.groups()) for a in range(len(grp)))
+            gi, a = next(itertools.islice(labels, m, None))
+            raise InvalidParams(f"edge {listed[i]} of group {gi} member {a} leaves its vertices")
 
     def to_json_dict(self) -> dict:
         return {

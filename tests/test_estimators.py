@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 
 from hamforge.counting import exact_ham_count, expectation_value
@@ -68,6 +69,56 @@ def classify_oracle(perm, fam):
         return ("bad", None, g)
     touched = {o[:2] for o in owners}
     return ("good", len(touched), g)
+
+
+def _shuffled(n, rng):
+    """The pass's reference stream: one `Random.shuffle` per sample."""
+    order = list(range(n))
+    rng.shuffle(order)
+    return tuple(order)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 17, 33, 64, 65, 82, 129])
+def test_permutation_rows_follow_the_shuffle_stream(n):
+    # every bit-length edge of i+1: a draw of the wrong width or a wrong
+    # rejection test reads other words and leaves another state
+    for seed in range(5):
+        rng, ref = random.Random(seed), random.Random(seed)
+        rows = estimators._permutation_rows(n, 7, rng)
+        assert rows.dtype == np.intp and rows.shape == (7, n)
+        assert [tuple(row) for row in rows.tolist()] == [_shuffled(n, ref) for _ in range(7)]
+        assert rng.getstate() == ref.getstate()
+
+
+def test_pass_leaves_the_stream_where_per_sample_shuffles_do(fam17):
+    rng, ref = random.Random(7), random.Random(7)
+    mc_fbar_and_bound(fam17, DensitySpec(1, 2), MC_BLOCK + 5, rng)
+    for _ in range(MC_BLOCK + 5):
+        _shuffled(fam17.n, ref)
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_window_network_sorts_like_np_sort(r):
+    # every window of the block against np.sort, through the owner table of
+    # the complete singleton family, which maps each r-set to itself
+    n = r + 5
+    fam = singleton_leftover_family(n, r)
+    rng = np.random.default_rng(r)
+    perms = np.array([rng.permutation(n) for _ in range(40)], dtype=np.intp)
+    gs, ms = estimators._window_owners(perms, fam)
+    doubled = np.concatenate([perms, perms[:, : r - 1]], axis=1)
+    windows = np.sort(np.lib.stride_tricks.sliding_window_view(doubled, r, axis=1), axis=-1)
+    windows = [tuple(w) for w in windows.reshape(-1, r).tolist()]
+    assert [fam.leftover_groups[g][0] for g in gs.ravel().tolist()] == windows
+    assert (ms == 0).all()
+    # without two of its r-sets the family fails on the one met first in row order
+    gone = {windows[7 * n + 3], windows[2 * n + 5]}
+    first = next(w for w in windows if w in gone)
+    kept = tuple(g for g in fam.leftover_groups if g[0] not in gone)
+    holed = PartitionedFamily(n=n, r=r, k=1, element_groups=(), leftover_groups=kept)
+    with pytest.raises(FamilyIncomplete, match=f"window {re.escape(str(first))} is not"):
+        estimators._window_owners(perms, holed)
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +231,7 @@ def test_incomplete_family_raises_through_the_pass():
     el = FamilyElement(vertices=(0, 1, 2), edges=((0, 1, 2),))
     fam = PartitionedFamily(n=6, r=3, k=1, element_groups=((el,),), leftover_groups=())
     # the first window of the first sample that the family cannot locate
-    perm = estimators._random_permutation(6, random.Random(4))
+    perm = _shuffled(6, random.Random(4))
     doubled = perm + perm[:2]
     want = next(w for w in (tuple(sorted(doubled[i : i + 3])) for i in range(6)) if w != (0, 1, 2))
     with pytest.raises(FamilyIncomplete, match=f"window {re.escape(str(want))} is not"):
@@ -196,7 +247,7 @@ def test_pass_matches_per_sample_classify(name, request, monkeypatch):
     stream = random.Random(41)
     want = {"bad": [], "f": [], "g": [], "g_all": []}
     for _ in range(samples):
-        c = classify(estimators._random_permutation(fam.n, stream), fam)
+        c = classify(_shuffled(fam.n, stream), fam)
         want["g_all"].append(float(c.g_value))
         want["bad"].append(0.0 if c.is_good else 1.0)
         if c.is_good:

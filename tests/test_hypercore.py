@@ -3,6 +3,7 @@ import math
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from hamforge.errors import DegenerateCycle, ParseError
@@ -21,10 +22,24 @@ from hamforge.hypercore import (
 @pytest.mark.parametrize("n,r", [(7, 3), (9, 4), (6, 2), (5, 5)])
 def test_colex_rank_is_a_bijection(n, r):
     sets = list(itertools.combinations(range(n), r))
-    ranks = colex_rank(sets, n).tolist()
+    ranks = colex_rank(np.array(sets).T, n).tolist()
     assert sorted(ranks) == list(range(math.comb(n, r)))
     # colex order: compare the largest vertex first
     assert ranks == [sorted(sets, key=lambda c: c[::-1]).index(c) for c in sets]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("shape", [(50,), (6, 9)])
+def test_colex_rank_matches_the_binomial_sum(r, shape):
+    # r-tuples in shape (m, r) or (b, n, r), ranked from their r columns
+    n = 40
+    rng = random.Random(r)
+    tuples = [sorted(rng.sample(range(n), r)) for _ in range(math.prod(shape))]
+    a = np.array(tuples, dtype=np.intp).reshape(*shape, r)
+    want = [sum(math.comb(c, i + 1) for i, c in enumerate(t)) for t in tuples]
+    got = colex_rank(np.moveaxis(a, -1, 0), n)
+    assert got.shape == shape
+    assert got.ravel().tolist() == want
 
 
 def test_window_set_r3_example():

@@ -16,11 +16,14 @@ from hamforge.errors import (
     InvalidParams,
     PartitionFailed,
     RetryBudgetExhausted,
+    ScaleLimit,
 )
+from hamforge.estimators import mc_fbar_and_bound
 from hamforge.geometry import build_spherical_steiner
 from hamforge.packing import (
     Packing,
     PackingParams,
+    PartitionedFamily,
     build_random_packing,
     family_from_design,
     family_from_packing,
@@ -31,6 +34,7 @@ from hamforge.packing import (
     validate_packing,
     write_packing,
 )
+from hamforge.randmodels import DensitySpec
 
 FEASIBLE = dict(n=60, r=3, k=3, q=8, K=30, M=1, tau=1)
 
@@ -209,6 +213,26 @@ def test_partition_output_is_pinned():
     )
 
 
+def test_estimate_reports_are_pinned():
+    # the Monte Carlo pass's permutation stream and classification: a seeded
+    # report changes exactly when these digests do
+    fam17 = family_from_design(build_spherical_steiner(2, 4), 2, rng=random.Random(0))
+    params = PackingParams.direct(n=40, r=3, k=2, q=6, K=10, M=1, tau=1)
+    packing, _ = build_random_packing(params, random.Random(0), retries=30)
+    fam40 = family_from_packing(packing, rng=random.Random(0))
+    assert fam40.leftover_groups
+    digests = [
+        hashlib.sha256(json.dumps(
+            mc_fbar_and_bound(fam, DensitySpec(1, 2), 3000, random.Random(3)).to_json_dict(),
+            sort_keys=True).encode()).hexdigest()
+        for fam in (fam17, fam40)
+    ]
+    assert digests == [
+        "64fbee4975d8a62004e6477e7185bd90d7b604cebed828e3011ed74a54e47f02",
+        "9c20d29e6515ebdece35bc850eabffb2cc61e3b1dd6b44641131c1d760f5d7c9",
+    ]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.frozensets(st.integers(0, 11), max_size=4), max_size=24),
@@ -260,6 +284,32 @@ def test_family_from_packing_round_trip():
     # JSON round trip
     again = type(fam).from_json_dict(fam.to_json_dict())
     assert again == fam
+
+
+@pytest.mark.parametrize("element, message", [
+    ({"vertices": [0, 1, 2], "edges": [[False, True, 2]]}, r"edge \(False, True, 2\) is not"),
+    ({"vertices": [0, 1, 2], "edges": [[True, False, 3]]}, r"edge \(True, False, 3\) is not"),
+    ({"vertices": [0, 1, 2], "edges": [[3, 4, 5]]}, r"edge \(3, 4, 5\) of group 0 member 0 leaves"),
+    ({"vertices": [0, 1, 2, 3], "edges": [[0, 1, 2], [1, 2, 4]]}, r"edge \(1, 2, 4\) of group 0 member 0"),
+    ({"vertices": [], "edges": [[0, 1, 2]]}, r"edge \(0, 1, 2\) of group 0 member 0"),
+], ids=["bools-sorted", "bools-unsorted", "disjoint-edge", "second-edge-strays", "no-vertices"])
+def test_family_json_rejects_bools_and_stray_edges(element, message):
+    data = {"n": 6, "r": 3, "k": 1, "steiner_q": None, "leftover_groups": [],
+            "element_groups": [[element]]}
+    with pytest.raises(InvalidParams, match=message):
+        PartitionedFamily.from_json_dict(data)
+
+
+def test_family_keys_past_int64_are_a_scale_limit():
+    # each member's vertices are looked up as member * span + vertex
+    big = 2**62
+    element_groups = [[{"vertices": [0, 1, v], "edges": [[0, 1, v]]}] for v in (big, 3)]
+    data = {"n": 2**70, "r": 3, "k": 1, "steiner_q": None, "leftover_groups": [],
+            "element_groups": element_groups}
+    with pytest.raises(ScaleLimit, match="overflow int64 keys"):
+        PartitionedFamily.from_json_dict(data)
+    data["element_groups"] = element_groups[:1]
+    PartitionedFamily.from_json_dict(data)
 
 
 def test_singleton_family():
