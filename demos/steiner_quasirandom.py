@@ -8,7 +8,7 @@ statistics, and exact Hamiltonian counts then quantify how the construction
 compares to the expectation value and to uniform random graphs of the same
 size.
 
-Runs in about a minute; bump BUILDS for tighter statistics.
+Runs in a few seconds; bump BUILDS for tighter statistics.
 """
 
 import random

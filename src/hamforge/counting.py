@@ -119,13 +119,17 @@ def brute_force_ham_count(graph: Hypergraph) -> CountResult:
 
 @lru_cache(maxsize=8)
 def _mask_layers(nfree: int) -> tuple[np.ndarray, ...]:
-    """Sorted bitmask arrays grouped by popcount, over nfree free slots."""
+    """Sorted bitmask arrays grouped by popcount, over nfree free slots.
+
+    They are in the least unsigned dtype that holds every mask, so the bit
+    tests of _shape_tables read and write the fewest bytes.
+    """
     popcount = np.zeros(1, dtype=np.uint8)
     for _ in range(nfree):
         popcount = np.concatenate([popcount, popcount + 1])
     # mask m sits at index m, so a stable argsort lists the masks grouped by
     # popcount and in increasing order within each group
-    masks = np.argsort(popcount, kind="stable")
+    masks = np.argsort(popcount, kind="stable").astype(np.min_scalar_type((1 << nfree) - 1))
     masks.setflags(write=False)
     return tuple(np.split(masks, np.cumsum(np.bincount(popcount))[:-1]))
 
@@ -199,10 +203,14 @@ def _shape_tables(n: int, r: int) -> tuple:
     """(G, F, a, indices) of _dp_count_numpy for n vertices, with r the r' of _dp_shape.
 
     indices[k-1] gives, per free slot t, the index into t's block of P from
-    U-layer k to k+1. For r > 2 all four are read-only and kept for the
-    next count of the same (n, r); one shape is kept, and a count of another
-    shape drops it before it builds its own. For r = 2 each step's indices
-    are built as the step runs, and nothing is kept.
+    U-layer k to k+1. A frontier's row of it depends on the slot only through
+    its rank pair (a, b) and its row offset in the block: each distinct pair's
+    template is built once per step and picked by a pair id found once per
+    shape, and the offsets are added in place. For r > 2 all four are
+    read-only and kept for the next count of the same (n, r); one shape is
+    kept, and a count of another shape drops it before it builds its own.
+    For r = 2 each slot's index is its one pair's template, built in intp
+    (so take does not cast it) as the step runs, and nothing is kept.
     """
     global _kept_shape
     kept = _kept_shape  # read once: a count in another thread may replace it
@@ -225,28 +233,40 @@ def _shape_tables(n: int, r: int) -> tuple:
     # row of P that each next frontier reads, within slot t's block of P
     rows = gidx[F[..., :-1] @ N ** np.arange(r - 3, -1, -1)] * N + v - np.arange(N)[:, None] * ng
     a[~valid] = b[~valid] = rows[~valid] = 0
+    # pair id of each (t, g): the index of its (a, b) among the distinct pairs
+    pairs, pair_id = np.unique(a * K + b, return_inverse=True)
+    pair_id, (ua, ub) = pair_id.reshape(a.shape), divmod(pairs, K)
+
+    def templates(k, ua, ub, itype):
+        # dropping t (rank ua) from U' and adding v (rank ub) to the slots
+        # keeps mask order, and maps the masks holding t one to one onto the
+        # masks lacking v: the j-th of the one reads the j-th of the other;
+        # every other mask, and the trailing column, reads the zero column
+        cur, nxt = layers[k], layers[k + 1]
+        umap = np.full((len(ua), len(nxt) + 1), len(cur), dtype=itype)
+        holds = {x: (nxt & 1 << x).astype(bool) for x in set(ua.tolist())}
+        lacks = {y: np.flatnonzero((cur & 1 << y) == 0) for y in set(ub.tolist())}
+        for row, x, y in zip(umap, ua.tolist(), ub.tolist()):
+            row[:-1][holds[x]] = lacks[y]
+        return umap
+
+    def slot_indices(k):
+        # r = 2: slot t has one frontier (t,), which is valid and has offset 0
+        for t in range(N):
+            yield templates(k, ua[pair_id[t]], ub[pair_id[t]], np.intp)
+
+    if r == 2:
+        return G, F, a, [slot_indices(k) for k in range(1, K)]
 
     def gather_indices(k):
-        cur, nxt = layers[k], layers[k + 1]
-        width = len(cur) + 1
+        width = len(layers[k]) + 1
         itype = np.uint16 if ng * width <= 1 << 16 else np.int32
-        for t in range(N):
-            pairs, inv = np.unique(a[t] * K + b[t], return_inverse=True)
-            ua, ub = (x[:, None] for x in divmod(pairs, K))
-            # dropping t (rank ua) from U' and adding v (rank ub) to the slots
-            # keeps mask order, and maps the masks holding t one to one onto
-            # the masks lacking v: the j-th of the one reads the j-th of the other
-            umap = np.full((len(pairs), len(nxt) + 1), len(cur), dtype=itype)
-            umap[:, :-1][nxt & 1 << ua != 0] = np.nonzero(cur & 1 << ub == 0)[1]
-            umap = umap[inv]
-            umap[~valid[t]] = len(cur)
-            umap += (rows[t] * width).astype(itype)[:, None]
-            yield umap
+        umap = templates(k, ua, ub, itype)[pair_id]
+        umap[~valid] = len(layers[k])
+        umap += (rows * width).astype(itype)[..., None]
+        return umap
 
-    indices = [gather_indices(k) for k in range(1, K)]
-    if r == 2:
-        return G, F, a, indices
-    tables = (G, F, a, [np.stack(list(m)) for m in indices])
+    tables = (G, F, a, [gather_indices(k) for k in range(1, K)])
     for table in (*tables[:3], *tables[3]):
         table.setflags(write=False)
     _kept_shape = ((n, r), tables)
@@ -366,16 +386,17 @@ def _estimate_dp_bytes(n: int, r: int, workers: int | None = None) -> int:
 
     workers defaults to _dp_workers(n, r). Each worker holds two layer
     buffers of _buffer_entries float64s: L, P, the fmod of P and the next L
-    all live in them. take casts a slot's index to intp, and for r = 2 the
-    index is built as the step runs: six intp per entry of a slot's block,
-    at the widest layer e_k = N * ng * (comb(K, k) + 1) (see _dp_shape),
-    cover both. E holds ng * N^2 float64s, plus two intp each to build it,
-    and the start and closure windows take 12r intp per frontier; each
-    worker holds its own. Shared once: for r > 2 the kept shape tables, that
-    is every layer's gather indices (e_{k+1} uint16s or int32s at layer k)
-    and the frontier index arrays, which with their build take 10r intp per
-    frontier; T with n^r entries plus an intp each for its edge lists; the
-    mask table's 2^K int64s and two more to build it. 64 KiB covers array
+    all live in them. take casts a kept slot index to intp, and for r = 2
+    the index is built in intp, with its bit-test temporaries, as the step
+    runs: six intp per entry of a slot's block, at the widest layer
+    e_k = N * ng * (comb(K, k) + 1) (see _dp_shape), cover either. E holds
+    ng * N^2 float64s, plus two intp each to build it, and the start and
+    closure windows take 12r intp per frontier; each worker holds its own.
+    Shared once: for r > 2 the kept shape tables, that is every layer's
+    gather indices (e_{k+1} uint16s or int32s at layer k) and the frontier
+    index arrays, which with their build take 10r intp per frontier; T with
+    n^r entries plus an intp each for its edge lists; the mask table, whose
+    build holds three arrays of at most 2^K int64s. 64 KiB covers array
     headers, small Python objects and the threads.
     """
     workers = _dp_workers(n, r) if workers is None else workers

@@ -482,6 +482,7 @@ class PartitionedFamily:
         member_vertices: list[int] = []  # every member's vertices, member by member
         vertex_counts: list[int] = []
         edge_counts: list[int] = []
+        distinct = 0  # distinct vertices summed over the groups
         for gi, grp in enumerate(self.groups()):
             if len(grp) != self.k:
                 raise InvalidParams(f"group {gi} has {len(grp)} members, expected {self.k}")
@@ -495,6 +496,7 @@ class PartitionedFamily:
                 listed.extend(edges)
                 edge_counts.append(len(edges))
             placed |= used
+            distinct += len(used)
         if len(set(listed)) < len(listed):
             seen: set[Edge] = set()
             e = next(e for e in listed if e in seen or seen.add(e))
@@ -502,6 +504,12 @@ class PartitionedFamily:
         bad = [x for x in placed if type(x) is not int or not 0 <= x < n]
         if bad:
             raise InvalidParams(f"a member has the vertex {bad[0]!r}, outside [0,{n})")
+        # the members of a group are disjoint, so a group has fewer distinct
+        # vertices than its members list only where a member repeats one
+        if distinct < len(member_vertices):
+            gi, a = next((gi, a) for gi, grp in enumerate(self.groups())
+                         for a, (vertices, _) in enumerate(grp) if len(set(vertices)) < len(vertices))
+            raise InvalidParams(f"group {gi} member {a} repeats a vertex")
         if not listed:
             return
         # the edges are checked in bulk first, and scanned one by one only to

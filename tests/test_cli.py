@@ -217,6 +217,7 @@ def test_truncated_family_json_exits_2(tmp_path, capsys):
     ({"vertices": [0, 1, 5], "edges": [[0, 1, [5]]]}, "ParseError"),  # not a vertex at all
     ({"vertices": [0, 1, 5], "edges": [[False, True, 5]]}, "InvalidParams"),  # a bool, not an int
     ({"vertices": [0, 1, 5], "edges": [[1, 3, 5]]}, "InvalidParams"),  # edge outside its member
+    ({"vertices": [0, 0, 1, 5], "edges": [[0, 1, 5]]}, "InvalidParams"),  # a repeated vertex
 ])
 def test_family_with_a_bad_member_exits_2_on_every_seed(tmp_path, capsys, member, error):
     # the build picks one member of the pair per seed, so a family checked

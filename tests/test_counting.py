@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from hamforge import counting
@@ -202,7 +203,7 @@ def _force_workers(monkeypatch, workers):
 
 def test_counts_do_not_depend_on_the_worker_count(monkeypatch):
     rng = random.Random(13)
-    # r = 2 to 6; (8, 5) counts the complements' 3-graph; (13, 3) and (12, 4)
+    # r = 2 to 6; (8, 5) is n = 2r-2 and makes no step; (13, 3) and (12, 4)
     # are below THREAD_MIN_LAYER_BYTES, so they run on one thread by default
     graphs = [random_hypergraph(n, r, p, rng) for n, r, p in
               [(13, 2, 0.5), (13, 3, 0.4), (12, 4, 0.5), (9, 5, 0.7), (8, 5, 0.8), (10, 6, 0.8)]]
@@ -272,6 +273,59 @@ def test_kept_shape_tables_follow_the_last_shape(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == [want[g] for g in graphs]
+
+
+def reference_gather_indices(n, r):
+    """_shape_tables' gather indices, entry by entry from their definition.
+
+    At step k, slot t and frontier (t, G'), an entry for the next U' (a
+    mask over the slots outside G') reads row (G, v) = ((t, G')[:-1],
+    (t, G')[-1]) of P, at the rank of U' minus t over the slots outside G,
+    or at that row's zero column when t is not in U'. A frontier that
+    repeats t reads the zero column of row 0 everywhere.
+    """
+    _, N, K, ng = _dp_shape(n, r)
+    tuples = list(itertools.permutations(range(N), r - 2))
+    layers = [[m for m in range(1 << K) if m.bit_count() == k] for k in range(K + 1)]
+    steps = []
+    for k in range(1, K):
+        cur, nxt = layers[k], layers[k + 1]
+        width = len(cur) + 1
+        step = []
+        for t in range(N):
+            for g2 in tuples:
+                if t in g2:
+                    step.append([len(cur)] * (len(nxt) + 1))
+                    continue
+                g, v = ((t,) + g2)[:-1], ((t,) + g2)[-1]
+                row = (tuples.index(g) * N + v - t * ng) * width
+                new = [s for s in range(N) if s not in g2]
+                old = [s for s in range(N) if s not in g]
+                line = []
+                for mask in nxt:
+                    placed = {new[i] for i in range(K) if mask >> i & 1}
+                    j = (cur.index(sum(1 << old.index(s) for s in placed - {t}))
+                         if t in placed else len(cur))
+                    line.append(row + j)
+                step.append(line + [row + len(cur)])
+        steps.append(np.array(step).reshape(N, ng, -1))
+    return steps
+
+
+@pytest.mark.parametrize("n, r", [(12, 2), (7, 5), (12, 3), (9, 6), (12, 4), (12, 5), (8, 5), (12, 6)])
+def test_shape_tables_match_the_reference(monkeypatch, n, r):
+    # (7, 5) and (9, 6) count the complements' 2- and 3-graph; (8, 5) makes no step
+    r = _dp_shape(n, r)[0]
+    _, N, K, ng = _dp_shape(n, r)
+    monkeypatch.setattr(counting, "_kept_shape", None)
+    got = counting._shape_tables(n, r)[3]
+    want = reference_gather_indices(n, r)
+    assert len(got) == len(want) == max(K - 1, 0)
+    for k, (step, ref) in enumerate(zip(got, want), 1):
+        step = step if r > 2 else np.stack(list(step))
+        width = math.comb(K, k) + 1
+        assert step.dtype == (np.intp if r == 2 else np.uint16 if ng * width <= 1 << 16 else np.int32)
+        assert np.array_equal(step, ref), (n, r, k)
 
 
 def test_memory_estimate_covers_traced_peak_of_split_counts(monkeypatch):

@@ -300,6 +300,18 @@ def test_family_json_rejects_bools_and_stray_edges(element, message):
         PartitionedFamily.from_json_dict(data)
 
 
+@pytest.mark.parametrize("groups", [
+    [[{"vertices": [0, 0, 1, 2], "edges": [[0, 1, 2]]}]],
+    [[{"vertices": [0, 0, 1, 2], "edges": []}]],
+    [[{"vertices": [3, 4, 5], "edges": [[3, 4, 5]]}], [{"vertices": [0, 1, 2, 1], "edges": []}]],
+], ids=["with-edges", "no-edges", "second-group"])
+def test_family_json_rejects_a_member_that_repeats_a_vertex(groups):
+    data = {"n": 6, "r": 3, "k": 1, "steiner_q": None, "leftover_groups": [],
+            "element_groups": groups}
+    with pytest.raises(InvalidParams, match=f"group {len(groups) - 1} member 0 repeats a vertex"):
+        PartitionedFamily.from_json_dict(data)
+
+
 def test_family_keys_past_int64_are_a_scale_limit():
     # each member's vertices are looked up as member * span + vertex
     big = 2**62
