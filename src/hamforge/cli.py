@@ -57,9 +57,13 @@ def _run_parts(parts: list, workers: int) -> list:
     """Call each zero-argument part and return the results in part order.
 
     Each part draws only from its own seeded stream, so the results do not
-    depend on how many processes run them: min(workers, CPUs, parts) spawned
-    processes, or the calling process alone when that is 1. The pool module
-    is imported here, not at the top, because every `hamforge` command would
+    depend on how many processes run them: min(workers, CPUs, parts) worker
+    processes, or the calling process alone when that is 1. On Linux the
+    workers are forked, so they skip re-importing numpy and hamforge; this
+    is safe because no hamforge thread is alive when the pool opens, as
+    each exact count joins its threads before it returns. Elsewhere they
+    are spawned, where fork is not the safe default. The pool module is
+    imported here, not at the top, because every `hamforge` command would
     pay for it.
     """
     procs = min(workers, os.cpu_count() or 1, len(parts))
@@ -68,7 +72,8 @@ def _run_parts(parts: list, workers: int) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("spawn")) as pool:
+    method = "fork" if sys.platform.startswith("linux") else "spawn"
+    with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context(method)) as pool:
         futures = [pool.submit(part) for part in parts]
         return [future.result() for future in futures]
 

@@ -2,10 +2,12 @@
 
 The exact counter anchors cycles at vertex 0 to kill rotations and divides by
 two for reversal, so all 2n symmetric traversals of one cycle collapse to a
-single count. One vectorized float64 subset DP counts at every n and r; one
-edge table steps its frontier, starts it and closes the cycle. Counts are
-exact integers: past 2^53 its last steps run modulo coprime moduli, and the
-Chinese remainder theorem joins their closure sums, taken in Python ints.
+single count. One vectorized subset DP counts at every n and r; one edge
+table steps its frontier, starts it and closes the cycle. Counts are exact
+integers: a step whose entries stay below 2^24 runs in float32, one below
+2^53 in float64, and past 2^53 the last steps run in float64 modulo coprime
+moduli, whose closure sums, taken in Python ints, the Chinese remainder
+theorem joins.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ BRUTE_FORCE_MAX_N = 10
 TWO_FACTOR_MAX_N = 10
 MEMINFO = "/proc/meminfo"
 # a count whose largest layer is smaller runs all its prefixes on the calling thread
-THREAD_MIN_LAYER_BYTES = 1 << 20
+THREAD_MIN_LAYER_BYTES = 1 << 19
 
 _kept_shape = None  # ((n, r), tables) of the last r > 2 shape counted; see _shape_tables
+_kept_masks = None  # (nfree, layers) of the last mask table built; see _mask_layers
 
 
 def _default_mem_gib() -> float:
@@ -117,21 +120,32 @@ def brute_force_ham_count(graph: Hypergraph) -> CountResult:
     return CountResult(count=total // 2, method="brute_force")
 
 
-@lru_cache(maxsize=8)
 def _mask_layers(nfree: int) -> tuple[np.ndarray, ...]:
     """Sorted bitmask arrays grouped by popcount, over nfree free slots.
 
     They are in the least unsigned dtype that holds every mask, so the bit
-    tests of _shape_tables read and write the fewest bytes.
+    tests of _shape_tables read and write the fewest bytes. The last table
+    is kept, read-only, for the next call with the same nfree; a call with
+    another drops it before it builds its own, so the kept table is the one
+    that _estimate_dp_bytes counts for the last count.
     """
-    popcount = np.zeros(1, dtype=np.uint8)
-    for _ in range(nfree):
-        popcount = np.concatenate([popcount, popcount + 1])
-    # mask m sits at index m, so a stable argsort lists the masks grouped by
-    # popcount and in increasing order within each group
-    masks = np.argsort(popcount, kind="stable").astype(np.min_scalar_type((1 << nfree) - 1))
-    masks.setflags(write=False)
-    return tuple(np.split(masks, np.cumsum(np.bincount(popcount))[:-1]))
+    global _kept_masks
+    kept = _kept_masks  # read once: a count in another thread may replace it
+    if kept is not None and kept[0] == nfree:
+        return kept[1]
+    _kept_masks = None
+    dtype = np.min_scalar_type((1 << nfree) - 1)
+    layers, none = [np.zeros(1, dtype)], np.empty(0, dtype)
+    for bit in range(nfree):
+        # the sorted masks of popcount k over one more slot: those of
+        # popcount k without the new bit, then the larger ones that hold it
+        top = dtype.type(1 << bit)
+        layers = [np.concatenate([low, high + top])
+                  for low, high in zip(layers + [none], [none] + layers)]
+    for layer in layers:
+        layer.setflags(write=False)
+    _kept_masks = (nfree, tuple(layers))
+    return _kept_masks[1]
 
 
 def _dp_shape(n: int, r: int) -> tuple[int, int, int, int]:
@@ -155,9 +169,10 @@ def _dp_moduli(n: int, r: int) -> tuple[int, ...]:
     With r, N and K from _dp_shape, an entry of P = E @ L at step k counts
     orderings of k+r-1 placed free vertices whose last r-1 are fixed: at
     most k! <= (K-1)! = (N-r+1)!. L copies P, start weights and E are 0 or
-    1 and nothing is negative, so every partial sum obeys that bound too,
-    and float64 is exact while it is below 2^53. Beyond it, from the step
-    whose k! reaches the least modulus on, P is reduced modulo each
+    1 and nothing is negative, so every partial sum obeys that bound too.
+    So a step is exact in float32 while its k! is below 2^24 and in float64
+    while it is below 2^53 (_step_dtype). Beyond 2^53, from the step whose
+    k! reaches the least modulus on, P is reduced modulo each
     m <= 2^53 // N, so a matmul sums N entries below m. The moduli are
     pairwise coprime with a product above (n-1)! >= 2H, the number of
     anchored vertex orders, so the CRT recovers 2H.
@@ -173,16 +188,29 @@ def _dp_moduli(n: int, r: int) -> tuple[int, ...]:
     return tuple(moduli)
 
 
-def _buffer_entries(N: int, K: int, ng: int, moduli: tuple[int, ...]) -> int:
-    """Float64s in one layer buffer: the largest L, P or fmod of P of a count.
+def _step_dtype(k: int, moduli: tuple[int, ...]) -> np.dtype:
+    """Float dtype of step k of _dp_count_numpy, picked by its bound k! (_dp_moduli).
+
+    float32 holds every integer below 2^24, so a step whose k! is below
+    2^24 and below min(moduli), where the residue channels start, runs in
+    float32; every later step runs in float64.
+    """
+    return np.dtype(np.float32 if math.factorial(k) < min((2**24, *moduli)) else np.float64)
+
+
+def _buffer_bytes(N: int, K: int, ng: int, moduli: tuple[int, ...]) -> int:
+    """Bytes of one layer buffer: the largest L, P or fmod of P of a count.
 
     Step k reads U-layer k, of comb(K, k) + 1 u columns, and writes layer
-    k+1, in len(moduli) channels once k! reaches min(moduli), else in one.
+    k+1, in _step_dtype(k, moduli) and in len(moduli) channels once k!
+    reaches min(moduli), else in one. The first float64 step copies its
+    layer up from float32, and the start layer, of K + 1 columns, is float32.
     """
     fork = min(moduli, default=math.inf)
-    return N * ng * max([K + 1] + [(max(math.comb(K, k), math.comb(K, k + 1)) + 1)
-                                    * (len(moduli) if math.factorial(k) >= fork else 1)
-                                    for k in range(1, K)])
+    return N * ng * max([4 * (K + 1)] + [(max(math.comb(K, k), math.comb(K, k + 1)) + 1)
+                                         * _step_dtype(k, moduli).itemsize
+                                         * (len(moduli) if math.factorial(k) >= fork else 1)
+                                         for k in range(1, K)])
 
 
 def _dp_workers(n: int, r: int) -> int:
@@ -193,7 +221,7 @@ def _dp_workers(n: int, r: int) -> int:
     """
     moduli = _dp_moduli(n, r)
     r, N, K, ng = _dp_shape(n, r)
-    if 8 * _buffer_entries(N, K, ng, moduli) < THREAD_MIN_LAYER_BYTES:
+    if _buffer_bytes(N, K, ng, moduli) < THREAD_MIN_LAYER_BYTES:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(cpus or 1, math.perm(n - 1, r - 2))
@@ -290,16 +318,19 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | N
     column, so no entry needs zeroing. The DP starts at layer r-1, weighted
     by the r-1 windows that touch the prefix, and closes with the r-1 that
     wrap around. Below n = 2r-2 it counts the complements' (n-r)-graph; see
-    _dp_shape. Arrays are float64, in one exact channel until a step's
-    bound k! reaches min(moduli), then one per modulus; the closure sums
-    each channel in Python ints and the CRT joins them; see _dp_moduli.
+    _dp_shape. Each step runs in the dtype its bound k! picks
+    (_step_dtype): float32 while k! is below 2^24, then float64, where the
+    first float64 step copies its layer and E up once. The arrays hold one
+    exact channel until k! reaches min(moduli), then one per modulus; the
+    closure sums each channel in Python ints and the CRT joins them; see
+    _dp_moduli.
 
     The prefixes are split over `workers` threads (default _dp_workers):
     the calling thread runs one share. Each worker keeps its layers in two
-    flat buffers, allocated here once per count: the matmul writes P into
-    the one that does not hold L, and the slot gathers write the next layer
-    back into the other. The sums are Python ints, so the split does not
-    change the total.
+    flat byte buffers, allocated here once per count and viewed in each
+    step's dtype: the matmul writes P into the one that does not hold L,
+    and the slot gathers write the next layer back into the other. The sums
+    are Python ints, so the split does not change the total.
     """
     n = graph.n
     r, N, K, ng = _dp_shape(n, graph.r)
@@ -307,17 +338,20 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | N
     if r != graph.r:
         everything = set(range(n))
         graph = Hypergraph.from_edges(n, r, [everything.difference(e) for e in graph.edges])
-    layers = _mask_layers(K)
-    T = np.zeros((n,) * r)
+    G, F, a, indices = _shape_tables(n, r)
+    T = np.zeros((n,) * r, dtype=np.float32)
     edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, r).T
     for perm in itertools.permutations(range(r)):
         T[tuple(edges[list(perm)])] = 1
     T = T.ravel()  # read at base-n window indices; every order of an edge is set
     weights = n ** np.arange(r - 1, -1, -1)
-    G, F, a, indices = _shape_tables(n, r)
     start = (*np.indices((N, ng)), a, 0)
     fork = min(moduli, default=math.inf)
     residues = np.array(moduli, dtype=np.float64)
+    dtypes = [_step_dtype(k, moduli) for k in range(1, K)]
+
+    def flat(buffer, dtype, size):
+        return buffer[: size * dtype.itemsize].view(dtype)
 
     def count_share(prefixes, buffers):
         # seq[:, t, g] is prefix + F[t, g] + prefix; of its windows the first
@@ -331,21 +365,27 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | N
             w = T[sum(seq[j : j + 2 * r - 2] * weights[j] for j in range(r))]
             E = T[(free[G] @ weights[1:-1])[:, None, None] + free[:, None] + free * n ** (r - 1)]
             src, dst = buffers  # src holds the layer, dst is free
-            L = src[: N * ng * (K + 1)].reshape(N, ng, K + 1, 1)
+            L = flat(src, E.dtype, N * ng * (K + 1)).reshape(N, ng, K + 1, 1)
             L.fill(0)
             L[start] = w[: r - 1].prod(0)
-            for k, slot_indices in enumerate(indices, 1):
+            for k, (slot_indices, dtype) in enumerate(zip(indices, dtypes), 1):
+                if L.dtype != dtype:  # the first float64 step copies L and E up
+                    up = flat(dst, dtype, L.size).reshape(L.shape)
+                    up[...] = L
+                    L, E = up, E.astype(dtype)
+                    src, dst = dst, src
                 # row t of P is the block that slot t's next frontiers read: the
                 # rows whose G starts at t (r > 2), or row v = t (r = 2)
                 c = L.shape[-1]
                 P = np.matmul(E, L.transpose(1, 0, 2, 3).reshape(ng, N, -1),
-                              out=dst[: L.size].reshape(ng, N, -1)).reshape(N, -1, c)
+                              out=flat(dst, dtype, L.size).reshape(ng, N, -1)).reshape(N, -1, c)
                 src, dst = dst, src
                 if math.factorial(k) >= fork:
                     c = len(moduli)
-                    P = np.fmod(P, residues, out=dst[: P[..., 0].size * c].reshape(N, -1, c))
+                    out = flat(dst, dtype, P[..., 0].size * c).reshape(N, -1, c)
+                    P = np.fmod(P, residues, out=out)
                     src, dst = dst, src
-                L = dst[: N * ng * (len(layers[k + 1]) + 1) * c].reshape(N, ng, -1, c)
+                L = flat(dst, dtype, N * ng * (math.comb(K, k + 1) + 1) * c).reshape(N, ng, -1, c)
                 for t, idx in enumerate(slot_indices):
                     P[t].take(idx, axis=0, out=L[t], mode="clip")
                 src, dst = dst, src
@@ -355,8 +395,9 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | N
 
     prefixes = list(itertools.permutations(range(1, n), r - 2))
     workers = min(workers, len(prefixes))
-    size = _buffer_entries(N, K, ng, moduli)
-    buffers = [(np.empty(size), np.empty(size)) for _ in range(workers)]  # on this thread
+    size = _buffer_bytes(N, K, ng, moduli)
+    buffers = [(np.empty(size, np.uint8), np.empty(size, np.uint8))  # on this thread
+               for _ in range(workers)]
     shares: list = [None] * workers
 
     def run(j):
@@ -385,19 +426,20 @@ def _estimate_dp_bytes(n: int, r: int, workers: int | None = None) -> int:
     """Upper bound on the bytes _dp_count_numpy(graph, _dp_moduli(n, r), workers) holds.
 
     workers defaults to _dp_workers(n, r). Each worker holds two layer
-    buffers of _buffer_entries float64s: L, P, the fmod of P and the next L
-    all live in them. take casts a kept slot index to intp, and for r = 2
-    the index is built in intp, with its bit-test temporaries, as the step
-    runs: six intp per entry of a slot's block, at the widest layer
+    buffers of _buffer_bytes: L, its float64 copy, P, the fmod of P and the
+    next L all live in them. take casts a kept slot index to intp, and for
+    r = 2 the index is built in intp, with its bit-test temporaries, as the
+    step runs: six intp per entry of a slot's block, at the widest layer
     e_k = N * ng * (comb(K, k) + 1) (see _dp_shape), cover either. E holds
-    ng * N^2 float64s, plus two intp each to build it, and the start and
-    closure windows take 12r intp per frontier; each worker holds its own.
-    Shared once: for r > 2 the kept shape tables, that is every layer's
-    gather indices (e_{k+1} uint16s or int32s at layer k) and the frontier
-    index arrays, which with their build take 10r intp per frontier; T with
-    n^r entries plus an intp each for its edge lists; the mask table, whose
-    build holds three arrays of at most 2^K int64s. 64 KiB covers array
-    headers, small Python objects and the threads.
+    ng * N^2 float32s and their float64 copy, plus two intp each to build
+    it, and the start and closure windows take 12r intp per frontier; each
+    worker holds its own. Shared once: for r > 2 the kept shape tables,
+    that is every layer's gather indices (e_{k+1} uint16s or int32s at
+    layer k) and the frontier index arrays, which with their build take 10r
+    intp per frontier; T with n^r float32s plus an intp each for its edge
+    lists; the mask table, whose build holds at most two tables of 2^K
+    masks of at most 8 bytes. 64 KiB covers array headers, small Python
+    objects and the threads.
     """
     workers = _dp_workers(n, r) if workers is None else workers
     moduli = _dp_moduli(n, r)
@@ -405,17 +447,18 @@ def _estimate_dp_bytes(n: int, r: int, workers: int | None = None) -> int:
     e = [N * ng * (math.comb(K, k) + 1) for k in range(K + 1)]
     indices = sum(e[k + 1] * (2 if ng * (math.comb(K, k) + 1) <= 1 << 16 else 4)
                   for k in range(1, K)) if r > 2 else 0
-    worker = (16 * _buffer_entries(N, K, ng, moduli) + 48 * e[K // 2] // N + ng * N * N * 24
+    worker = (2 * _buffer_bytes(N, K, ng, moduli) + 48 * e[K // 2] // N + ng * N * N * 28
               + 12 * r * 8 * N * ng)
-    return (workers * worker + indices + n**r * 16 + 10 * r * 8 * N * ng + 3 * 8 * 2**K
+    return (workers * worker + indices + n**r * 12 + 10 * r * 8 * N * ng + 2 * 8 * 2**K
             + (1 << 16))
 
 
 def exact_ham_count(graph: Hypergraph) -> CountResult:
     """Exact Hamiltonian cycle count via subset DP with an ordered (r-1)-frontier.
 
-    Equals brute_force_ham_count on its whole domain; one float64 DP serves
-    every n (_dp_moduli). It runs on the most workers, up to _dp_workers,
+    Equals brute_force_ham_count on its whole domain; one DP serves every
+    n, in float32, float64 and residue channels as its bounds grow
+    (_dp_moduli). It runs on the most workers, up to _dp_workers,
     whose estimate fits the memory budget: min(8 GiB, half of MemAvailable)
     by default, or HAMFORGE_MEM_GIB, which must be a finite number > 0.
     Raises ScaleLimit with a state-count estimate when one worker does not fit.
@@ -491,16 +534,6 @@ def permanent(matrix) -> int:
         total += sign * math.prod(rowsums)
     # sign bookkeeping above tracks (-1)^{|S|}; overall factor (-1)^n
     return total if n % 2 == 0 else -total
-
-
-def permanent_brute_force(matrix) -> int:
-    """Definition-level permanent (sum over all permutations); test oracle."""
-    a = [[int(x) for x in row] for row in matrix]
-    n = len(a)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        total += math.prod(a[i][j] for i, j in enumerate(perm))
-    return total
 
 
 def adjacency_matrix(graph: Hypergraph) -> np.ndarray:

@@ -4,6 +4,7 @@ import os
 import random
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,7 +21,6 @@ from hamforge.counting import (
     log2_alon_upper_bound_h2,
     log2_expectation_value,
     permanent,
-    permanent_brute_force,
     two_factor_profile,
     _dp_count_numpy,
     _dp_moduli,
@@ -35,6 +35,13 @@ from hamforge.hypercore import Hypergraph
 def random_hypergraph(n, r, p, rng):
     edges = [e for e in itertools.combinations(range(n), r) if rng.random() < p]
     return Hypergraph.from_edges(n, r, edges)
+
+
+def permanent_brute_force(matrix):
+    """Oracle: the permanent from its definition, a sum over all permutations."""
+    a = [[int(x) for x in row] for row in matrix]
+    return sum(math.prod(a[i][j] for i, j in enumerate(perm))
+               for perm in itertools.permutations(range(len(a))))
 
 
 def dict_dp_count(graph):
@@ -195,6 +202,35 @@ def test_memory_estimate_covers_traced_peak():
 
 
 PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
+
+
+def test_float32_steps_match_the_residue_channels_across_the_cut():
+    # float32 holds every integer below 2^24 = 16777216, and 10! < 2^24 <= 11!
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    assert [counting._step_dtype(k, ()) for k in (1, 10, 11, 18)] == [f32, f32, f64, f64]
+    assert [counting._step_dtype(k, PRIMES) for k in (4, 5)] == [f32, f64]
+    # the default path runs steps 1-10 in float32 and then copies up to
+    # float64; PRIMES runs every step from k = 5 in float64 residue channels.
+    # On these dense graphs entries pass 2^24 with odd parts, so a step
+    # whose bound passes 2^24 and still runs in float32 rounds them
+    rng = random.Random(3)
+    for n, r, p in [(16, 2, 0.9), (17, 2, 0.85), (16, 3, 0.8)]:
+        g = random_hypergraph(n, r, p, rng)
+        assert _dp_count_numpy(g, _dp_moduli(n, r)) == _dp_count_numpy(g, PRIMES), (n, r)
+    # complete graphs pass the cut too, but their entries k! have odd parts
+    # below 2^24 up to 13!, so float32 rounds them only from step 14 on
+    for n, r in [(n, 2) for n in range(12, 21)] + [(n, 3) for n in range(13, 18)]:
+        assert exact_ham_count(Hypergraph.complete(n, r)).count == math.factorial(n - 1) // 2
+
+
+def test_only_the_last_mask_table_is_kept(monkeypatch):
+    # a table kept past its count is counted by no later estimate: K = 19
+    # holds 2 MiB
+    monkeypatch.setattr(counting, "_kept_shape", None)
+    assert exact_ham_count(Hypergraph.complete(20, 2)).count == math.factorial(19) // 2
+    table = weakref.ref(counting._mask_layers(19)[9])
+    assert exact_ham_count(Hypergraph.complete(9, 3)).count == math.factorial(8) // 2
+    assert table() is None
 
 
 def _force_workers(monkeypatch, workers):
