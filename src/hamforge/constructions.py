@@ -136,11 +136,6 @@ def turan_graph(n: int, k: int) -> Hypergraph:
     return multipartite_rgraph(n, k, 2)
 
 
-def multipartite_density_limit(k: int, r: int) -> Fraction:
-    """Asymptotic density k!/((k-r)! k^r) of the balanced multipartite r-graph."""
-    return Fraction(math.factorial(k), math.factorial(k - r) * k**r)
-
-
 # ---------------------------------------------------------------------------
 # words
 # ---------------------------------------------------------------------------
@@ -209,10 +204,6 @@ def word_to_string(word: Sequence[int]) -> str:
     if any(l < 0 or l >= 26 for l in word):
         raise InvalidParams("string form supports k <= 26")
     return "".join(chr(ord("a") + l) for l in word)
-
-
-def word_from_string(s: str) -> Word:
-    return tuple(ord(c) - ord("a") for c in s)
 
 
 def _lex_least_block(word: Word, letters: Sequence[int], r: int,

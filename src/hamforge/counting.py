@@ -78,10 +78,6 @@ class TwoFactorProfile:
     def weighted_sum(self) -> int:
         return sum(c << k for k, c in enumerate(self.counts))
 
-    @property
-    def f1(self) -> int:
-        return self.counts[1] if len(self.counts) > 1 else 0
-
 
 def brute_force_ham_count(graph: Hypergraph) -> CountResult:
     """Count Hamiltonian cycles by exhaustive search over anchored sequences.

@@ -68,25 +68,12 @@ def _owner_index(family: PartitionedFamily) -> tuple[np.ndarray, np.ndarray]:
             edges.extend(es)
             group_of.extend([gi] * len(es))
             member_of.extend([mi] * len(es))
-    try:
-        arr = np.array(list(itertools.chain.from_iterable(edges)))
-    except ValueError:  # some vertex is itself a sequence
-        arr = None
-    if arr is None or arr.dtype.kind != "i" or set(map(len, edges)) - {r}:
-        # an edge that is not an r-tuple of vertices equals no window; a row
-        # of -1 keeps its place and fails the range test below
-        arr = np.array(
-            [e if len(e) == r and all(type(v) is int and 0 <= v < n for v in e) else (-1,) * r
-             for e in edges],
-            dtype=np.int64,
-        )
-    arr = arr.reshape(-1, r)
-    keep = (arr[:, 0] >= 0) & (arr[:, -1] < n) & (np.diff(arr, axis=1) > 0).all(axis=1)
-    ranks = colex_rank(arr[keep].T, n)
+    arr = np.array(list(itertools.chain.from_iterable(edges)), dtype=np.intp).reshape(-1, r)
+    ranks = colex_rank(arr.T, n)
     group = np.full(math.comb(n, r), -1, dtype=np.int32)
     member = np.full(math.comb(n, r), -1, dtype=np.int32)
-    group[ranks] = np.array(group_of, dtype=np.int32)[keep]
-    member[ranks] = np.array(member_of, dtype=np.int32)[keep]
+    group[ranks] = group_of
+    member[ranks] = member_of
     index = family.__dict__["_owner_index"] = (group, member)
     return index
 

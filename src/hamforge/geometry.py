@@ -186,11 +186,6 @@ class FieldCtx:
             (x + y) % self.p for x, y in zip(self._decode(a), self._decode(b))
         )
 
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        return self._encode((-x) % self.p for x in self._decode(a))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DegenerateCycle, ParseError
+from .errors import DegenerateCycle, InvalidParams, ParseError
 
 Edge = tuple[int, ...]
 
@@ -22,9 +22,9 @@ Edge = tuple[int, ...]
 def _normalize_edge(edge: Iterable[int], n: int, r: int) -> Edge:
     e = tuple(sorted(edge))
     if len(e) != r or len(set(e)) != r:
-        raise ValueError(f"edge {tuple(edge)!r} does not have {r} distinct vertices")
+        raise InvalidParams(f"edge {tuple(edge)!r} does not have {r} distinct vertices")
     if e[0] < 0 or e[-1] >= n:
-        raise ValueError(f"edge {e!r} has a vertex outside [0,{n})")
+        raise InvalidParams(f"edge {e!r} has a vertex outside [0,{n})")
     return e
 
 
@@ -38,9 +38,9 @@ class Hypergraph:
 
     def __post_init__(self):
         if self.r < 2:
-            raise ValueError("uniformity r must be >= 2")
+            raise InvalidParams(f"uniformity r must be >= 2, got {self.r}")
         if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
+            raise InvalidParams(f"vertex count n must be >= 0, got {self.n}")
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
@@ -71,10 +71,6 @@ class Hypergraph:
         if total == 0:
             return 0.0
         return len(self.edges) / total
-
-    def with_edge(self, edge: Iterable[int]) -> "Hypergraph":
-        e = _normalize_edge(edge, self.n, self.r)
-        return Hypergraph(self.n, self.r, self.edges | {e})
 
 
 @lru_cache(maxsize=None)
@@ -110,9 +106,6 @@ class CyclicWindowSet:
 
     windows: tuple[Edge, ...]
     source: tuple[int, ...]
-
-    def as_set(self) -> frozenset[Edge]:
-        return frozenset(self.windows)
 
 
 @dataclass(frozen=True)

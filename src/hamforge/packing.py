@@ -448,6 +448,10 @@ class PartitionedFamily:
     Readers walk both kinds through `groups()`, which yields every group as
     one tuple of (vertices, edges) members: the element groups first, then
     the leftover groups with each edge as a one-edge member.
+
+    A family is checked when it is made, so every reader may rely on it: each
+    group has k members with pairwise disjoint vertices in [0, n), and each
+    edge is an increasing r-tuple inside its member, listed once in the family.
     """
 
     n: int
@@ -457,26 +461,10 @@ class PartitionedFamily:
     leftover_groups: tuple[tuple[Edge, ...], ...]
     steiner_q: int | None = None
 
-    def groups(self) -> Iterator[tuple[tuple[tuple[int, ...], tuple[Edge, ...]], ...]]:
-        for grp in self.element_groups:
-            yield tuple((el.vertices, el.edges) for el in grp)
-        for grp in self.leftover_groups:
-            yield tuple((e, (e,)) for e in grp)
-
-    def total_edges(self) -> int:
-        return sum(len(edges) for grp in self.groups() for _, edges in grp)
-
-    def is_complete(self) -> bool:
-        return self.total_edges() == math.comb(self.n, self.r)
-
-    def uniform_element_size(self) -> int | None:
-        sizes = {len(el.edges) for grp in self.element_groups for el in grp}
-        if len(sizes) == 1:
-            return sizes.pop()
-        return None
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         n, r = self.n, self.r
+        if n < 0 or r < 2 or self.k < 1:
+            raise InvalidParams(f"need n >= 0, r >= 2 and k >= 1, got n={n}, r={r}, k={self.k}")
         listed: list[Edge] = []
         placed: set = set()
         member_vertices: list[int] = []  # every member's vertices, member by member
@@ -522,9 +510,11 @@ class PartitionedFamily:
                 # numpy reads a bool as 0 or 1, so only an edge holding 0 or 1 can hide one
                 or any(type(x) is bool for i in np.flatnonzero(rows[:, 0] <= 1).tolist()
                        for x in listed[i])):
-            e = next(e for e in listed
-                     if not (len(e) == r and all(type(x) is int and 0 <= x < n for x in e)
-                             and all(map(operator.lt, e, e[1:]))))
+            e = next((e for e in listed
+                      if not (len(e) == r and all(type(x) is int and 0 <= x < n for x in e)
+                              and all(map(operator.lt, e, e[1:])))), None)
+            if e is None:  # every edge is well formed, but numpy holds no int64 for some vertex
+                raise ScaleLimit(f"a vertex of some edge overflows int64 (n = {n})")
             raise InvalidParams(f"edge {e} is not an increasing {r}-tuple of vertices in [0,{n})")
         # an edge lies inside its member when each of its (member, vertex) keys
         # member * span + vertex is among the member's own, looked up column by
@@ -549,6 +539,24 @@ class PartitionedFamily:
             gi, a = next(itertools.islice(labels, m, None))
             raise InvalidParams(f"edge {listed[i]} of group {gi} member {a} leaves its vertices")
 
+    def groups(self) -> Iterator[tuple[tuple[tuple[int, ...], tuple[Edge, ...]], ...]]:
+        for grp in self.element_groups:
+            yield tuple((el.vertices, el.edges) for el in grp)
+        for grp in self.leftover_groups:
+            yield tuple((e, (e,)) for e in grp)
+
+    def total_edges(self) -> int:
+        return sum(len(edges) for grp in self.groups() for _, edges in grp)
+
+    def is_complete(self) -> bool:
+        return self.total_edges() == math.comb(self.n, self.r)
+
+    def uniform_element_size(self) -> int | None:
+        sizes = {len(el.edges) for grp in self.element_groups for el in grp}
+        if len(sizes) == 1:
+            return sizes.pop()
+        return None
+
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -569,8 +577,10 @@ class PartitionedFamily:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PartitionedFamily":
+        # construction checks the family; it hashes each vertex and edge, so a
+        # nested list is a TypeError, and int() of an infinite float overflows
         try:
-            fam = cls(
+            return cls(
                 n=int(data["n"]),
                 r=int(data["r"]),
                 k=int(data["k"]),
@@ -589,10 +599,8 @@ class PartitionedFamily:
                     tuple(tuple(e) for e in grp) for grp in data["leftover_groups"]
                 ),
             )
-            fam.validate()  # hashes each vertex and edge: a nested list is a TypeError
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed family JSON: {exc}") from None
-        return fam
 
 
 def family_from_design(system: SteinerSystem, k: int, *, rng: Random | None = None) -> PartitionedFamily:
@@ -618,7 +626,6 @@ def family_from_design(system: SteinerSystem, k: int, *, rng: Random | None = No
         leftover_groups=(),
         steiner_q=system.q,
     )
-    fam.validate()
     if not fam.is_complete():
         raise ConstructionBug("design-derived family does not cover all triples")
     return fam
@@ -640,22 +647,9 @@ def family_from_packing(packing: Packing, *, rng: Random | None = None) -> Parti
         leftover_groups=tuple(tuple(grp) for grp in leftover_groups),
         steiner_q=None,
     )
-    fam.validate()
     if not fam.is_complete():
         raise ConstructionBug("packing-derived family must cover all of K_n^r")
     return fam
-
-
-def singleton_leftover_family(n: int, r: int) -> PartitionedFamily:
-    """Degenerate k=1 family: every edge of K_n^r in its own leftover group.
-
-    No two windows can ever share a group, so every permutation is good with
-    f = n and g = 0; useful as a boundary case for the estimators.
-    """
-    groups = tuple((e,) for e in itertools.combinations(range(n), r))
-    return PartitionedFamily(
-        n=n, r=r, k=1, element_groups=(), leftover_groups=groups, steiner_q=None
-    )
 
 
 # ---------------------------------------------------------------------------

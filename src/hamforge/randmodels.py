@@ -110,12 +110,10 @@ def build_quasirandom_from_partition(
     ln = spec.num
     edges: set[Edge] = set()
     for grp in family.groups():
-        for idx in sorted(rng.sample(range(family.k), ln)):
-            for e in grp[idx][1]:
-                if e in edges:
-                    raise ConstructionBug(f"edge {e} contributed twice")
-                edges.add(e)
-    graph = Hypergraph.from_edges(family.n, family.r, edges)
+        for idx in rng.sample(range(family.k), ln):
+            edges.update(grp[idx][1])
+    # a family's edges were checked as increasing r-tuples in [0, n) when it was made
+    graph = Hypergraph(family.n, family.r, frozenset(edges))
     if family.is_complete() and family.uniform_element_size() is not None:
         want = _edge_target(family.n, family.r, spec.as_fraction())
         if graph.edge_count != want:

@@ -134,6 +134,36 @@ def test_domain_error_verbatim(tmp_path, capsys):
     assert err.startswith("PartitionFailed: ") and "best pass placed" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "complete", "--n", 5, "--r", 1], "uniformity r must be >= 2, got 1"),
+    (["--kind", "complete", "--n", -3], "vertex count n must be >= 0, got -3"),
+    (["--kind", "empty", "--n", 5, "--r", 0], "uniformity r must be >= 2, got 0"),
+], ids=["r1", "n-negative", "empty-r0"])
+def test_construct_bad_size_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "g.txt"
+    assert run(["construct", *argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"InvalidParams: {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["n", "r", "k", "steiner_q"])
+@pytest.mark.parametrize("command", [
+    ["estimate", "--p", "1/2", "--samples", 10, "--seed", 5],
+    ["build", "--l", 1, "--seed", 5],
+], ids=["estimate", "build"])
+def test_infinite_family_size_exits_2(tmp_path, capsys, field, command):
+    # Python's json reads Infinity, and int() of it overflows
+    data = {"n": 6, "r": 3, "k": 2, "steiner_q": None, "element_groups": [], "leftover_groups": []}
+    fam = tmp_path / "f.json"
+    fam.write_text(json.dumps({**data, field: float("inf")}))
+    assert "Infinity" in fam.read_text()
+    assert run([command[0], "--family", fam, *command[1:], "--out", tmp_path / "o"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "ParseError: malformed family JSON: cannot convert float infinity to integer\n"
+    assert captured.out == ""
+
+
 def test_experiment_preset_reproducible(tmp_path, capsys):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:

@@ -16,13 +16,11 @@ from hamforge.constructions import (
     is_admissible,
     is_cyclically_admissible,
     is_good_word,
-    multipartite_density_limit,
     multipartite_parts,
     multipartite_rgraph,
     sample_feasible_word,
     sample_good_cycles,
     turan_graph,
-    word_from_string,
     word_to_permutation,
     word_to_string,
 )
@@ -109,7 +107,8 @@ def test_multipartite_parts_balanced():
 
 
 def test_multipartite_density_approaches_limit():
-    limit = multipartite_density_limit(5, 3)
+    # the balanced k-partite r-graph has asymptotic density k!/((k-r)! k^r)
+    limit = Fraction(math.factorial(5), math.factorial(5 - 3) * 5**3)
     gaps = []
     for n in (30, 60, 120):
         g = multipartite_rgraph(n, 5, 3)
@@ -143,7 +142,9 @@ def test_admissible_grid():
 
 def test_word_strings():
     assert word_to_string((0, 1, 2)) == "abc"
-    assert word_from_string("abca") == (0, 1, 2, 0)
+    assert word_to_string((0, 1, 2, 0)) == "abca"
+    with pytest.raises(InvalidParams, match="k <= 26"):
+        word_to_string((0, 26))
 
 
 def test_good_word_iff_cycle_in_multipartite():

@@ -409,7 +409,7 @@ def test_monotone_under_edge_addition():
         missing = [e for e in itertools.combinations(range(7), 3) if e not in g.edges]
         if not missing:
             continue
-        bigger = g.with_edge(rng.choice(missing))
+        bigger = Hypergraph.from_edges(7, 3, g.edges | {rng.choice(missing)})
         assert exact_ham_count(bigger).count >= exact_ham_count(g).count
 
 
@@ -457,7 +457,7 @@ def test_two_factor_profile_c4():
 def test_two_factor_profile_triangle():
     k3 = Hypergraph.from_edges(3, 2, [(0, 1), (1, 2), (0, 2)])
     prof = two_factor_profile(k3)
-    assert prof.f1 == 1
+    assert prof.counts[1] == 1
     assert prof.counts[0] == 0  # no perfect matching on 3 vertices
 
 
@@ -468,12 +468,13 @@ def test_permanent_identity_random_graphs():
         g = random_hypergraph(n, 2, rng.choice([0.3, 0.5, 0.8]), rng)
         prof = two_factor_profile(g)
         assert prof.weighted_sum() == permanent(adjacency_matrix(g).tolist())
+        one_cycle = prof.counts[1] if len(prof.counts) > 1 else 0
         if n >= 4:
             # a Hamiltonian cycle is a one-cycle factor with no single edges;
             # for n >= 5 a short cycle plus matching edges also lands in F_1
-            assert prof.f1 >= brute_force_ham_count(g).count
+            assert one_cycle >= brute_force_ham_count(g).count
             if n == 4:
-                assert prof.f1 == brute_force_ham_count(g).count
+                assert one_cycle == brute_force_ham_count(g).count
 
 
 def test_bregman_bound():

@@ -14,6 +14,7 @@ from hamforge.errors import (
     DivisibilityViolation,
     InfeasibleParams,
     InvalidParams,
+    ParseError,
     PartitionFailed,
     RetryBudgetExhausted,
     ScaleLimit,
@@ -21,6 +22,7 @@ from hamforge.errors import (
 from hamforge.estimators import mc_fbar_and_bound
 from hamforge.geometry import build_spherical_steiner
 from hamforge.packing import (
+    FamilyElement,
     Packing,
     PackingParams,
     PartitionedFamily,
@@ -30,7 +32,6 @@ from hamforge.packing import (
     leftover_edges,
     partition_into_disjoint_groups,
     read_packing,
-    singleton_leftover_family,
     validate_packing,
     write_packing,
 )
@@ -254,14 +255,12 @@ def test_partition_property(keys, k, seed):
 
 def test_family_from_design_complete():
     fam = family_from_design(build_spherical_steiner(3, 2), 1)
-    fam.validate()
     assert fam.is_complete()
     assert fam.steiner_q == 3
     assert len(fam.element_groups) == 30
     assert fam.leftover_groups == ()
 
     fam17 = family_from_design(build_spherical_steiner(2, 4), 2, rng=random.Random(1))
-    fam17.validate()
     assert fam17.is_complete() and len(fam17.element_groups) == 340
 
 
@@ -277,7 +276,6 @@ def test_family_from_packing_round_trip():
     params = PackingParams.direct(n=40, r=3, k=2, q=6, K=10, M=1, tau=1)
     packing, _ = build_random_packing(params, random.Random(0), retries=30)
     fam = family_from_packing(packing, rng=random.Random(0))
-    fam.validate()
     assert fam.is_complete()
     assert len(fam.element_groups) == 5
     assert len(fam.leftover_groups) == (math.comb(40, 3) - 10 * packing.z) // 2
@@ -324,9 +322,77 @@ def test_family_keys_past_int64_are_a_scale_limit():
     PartitionedFamily.from_json_dict(data)
 
 
+def _k63_leftovers(odd):
+    """K_6^3 as one-edge leftover groups, with the edge (0, 1, 2) replaced by `odd`."""
+    edges = [odd if e == (0, 1, 2) else e for e in itertools.combinations(range(6), 3)]
+    return dict(n=6, r=3, k=1, element_groups=(), leftover_groups=tuple((e,) for e in edges))
+
+
+_A = FamilyElement(vertices=(0, 1, 2), edges=((0, 1, 2),))
+_B = FamilyElement(vertices=(3, 4, 5), edges=((3, 4, 5),))
+_C = FamilyElement(vertices=(6, 7, 8), edges=((6, 7, 8),))
+
+
+@pytest.mark.parametrize("fields, message", [
+    (_k63_leftovers((2, 1, 0)), r"edge \(2, 1, 0\) is not an increasing 3-tuple"),
+    (_k63_leftovers((0, 1)), r"edge \(0, 1\) is not an increasing 3-tuple"),
+    (_k63_leftovers((0, 1, 7)), r"a member has the vertex 7, outside \[0,6\)"),
+    (_k63_leftovers(("0", "1", "2")), r"a member has the vertex '[012]', outside \[0,6\)"),
+    # a group whose members meet: a build choosing both would take an edge twice
+    (dict(n=6, r=3, k=2, element_groups=((_A, _A), (_A, _B)), leftover_groups=()),
+     "group 0 member 1 shares a vertex with another member"),
+    (dict(n=9, r=3, k=2, element_groups=((_A, _B), (_A, _C)), leftover_groups=()),
+     r"edge \(0, 1, 2\) appears twice in the family"),
+    (dict(n=9, r=3, k=2, element_groups=((_A, _B),), leftover_groups=(((6, 7, 8),),)),
+     "group 1 has 1 members, expected 2"),
+    (dict(n=-1, r=3, k=1, element_groups=(), leftover_groups=()), "need n >= 0, r >= 2 and k >= 1"),
+    (dict(n=6, r=1, k=1, element_groups=(), leftover_groups=()), "need n >= 0, r >= 2 and k >= 1"),
+    (dict(n=6, r=3, k=0, element_groups=(), leftover_groups=()), "need n >= 0, r >= 2 and k >= 1"),
+], ids=["unsorted-edge", "short-edge", "edge-past-n", "string-vertices",
+        "shared-vertex", "edge-twice", "short-group", "n-negative", "r-below-2", "k-zero"])
+def test_malformed_family_is_rejected_when_made(fields, message):
+    with pytest.raises(InvalidParams, match=message):
+        PartitionedFamily(**fields)
+
+
+@pytest.mark.parametrize("vertex", [2**63, 2**64])
+def test_family_edge_vertex_past_int64_is_a_scale_limit(vertex):
+    # numpy holds such an edge as float64 or object, not int64
+    with pytest.raises(ScaleLimit, match="overflows int64"):
+        PartitionedFamily(n=2**70, r=3, k=1, element_groups=(), leftover_groups=(((0, 1, vertex),),))
+
+
+# any JSON value in a place the format gives a shape: a leaf, or a small
+# container of the wrong shape
+_json = (st.none() | st.booleans() | st.integers() | st.text(max_size=2)
+         | st.floats(allow_nan=True, allow_infinity=True)
+         | st.sampled_from([[], {}, [[0]], [None], {"vertices": [0]}, {"n": 6}]))
+_vertex = st.integers(-1, 9) | st.sampled_from([2**63, 2**64, True, 1.0, "1"]) | _json
+_edge = st.lists(_vertex, max_size=4) | _json
+_member = st.fixed_dictionaries({"vertices": st.lists(_vertex, max_size=5),
+                                 "edges": st.lists(_edge, max_size=3)}) | _json
+_size = st.integers(-1, 9) | st.sampled_from([2**70, float("inf"), float("-inf"), float("nan")]) | _json
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.fixed_dictionaries(
+    {"n": _size, "r": _size, "k": _size,
+     "element_groups": st.lists(st.lists(_member, max_size=3) | _json, max_size=3) | _json,
+     "leftover_groups": st.lists(st.lists(_edge, max_size=3) | _json, max_size=3) | _json},
+    optional={"steiner_q": _size}) | _json)
+def test_family_reader_raises_only_typed_errors(data):
+    # any JSON value gives a family or one of three typed errors
+    try:
+        fam = PartitionedFamily.from_json_dict(data)
+    except (ParseError, InvalidParams, ScaleLimit):
+        return
+    assert PartitionedFamily.from_json_dict(fam.to_json_dict()) == fam
+
+
 def test_singleton_family():
-    fam = singleton_leftover_family(6, 3)
-    fam.validate()
+    # every edge of K_6^3 in its own leftover group
+    groups = tuple((e,) for e in itertools.combinations(range(6), 3))
+    fam = PartitionedFamily(n=6, r=3, k=1, element_groups=(), leftover_groups=groups)
     assert fam.k == 1 and fam.is_complete()
 
 

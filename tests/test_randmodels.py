@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hamforge.counting import exact_ham_count
-from hamforge.errors import ConstructionBug, InvalidParams
+from hamforge.errors import InvalidParams
 from hamforge.geometry import build_spherical_steiner
 from hamforge.hypercore import Hypergraph
 from hamforge.packing import family_from_design
@@ -203,19 +203,3 @@ def test_audit_report_json(steiner_family):
     assert isinstance(report, AuditReport)
     # at n=17 a half-set holds 56 triples; deviations beyond 0.25 are ~4-sigma
     assert report.passed
-
-
-def test_builder_double_contribution_guard():
-    # a malformed family whose groups repeat an edge must be rejected mid-build
-    from hamforge.packing import FamilyElement, PartitionedFamily
-
-    el = FamilyElement(vertices=(0, 1, 2), edges=((0, 1, 2),))
-    other = FamilyElement(vertices=(3, 4, 5), edges=((3, 4, 5),))
-    fam = PartitionedFamily(
-        n=6, r=3, k=2,
-        element_groups=((el, el), (el, other)),
-        leftover_groups=(),
-    )
-    with pytest.raises(ConstructionBug):
-        for seed in range(8):  # whichever branch the draw takes, a repeat occurs
-            build_quasirandom_from_partition(fam, DensitySpec(1, 2), random.Random(seed))
