@@ -28,13 +28,11 @@ from .errors import (
     ScaleLimit,
 )
 from .hypercore import colex_rank, window_set
-from .packing import PartitionedFamily
+from .packing import MAX_OWNER_RANKS, PartitionedFamily, too_many_r_sets
 from .randmodels import DensitySpec, build_quasirandom_from_partition
 
 # permutations the Monte Carlo pass classifies per numpy block
-MC_BLOCK = 1024
-# the owner table holds two int32 entries per r-set of the family's vertices
-MAX_OWNER_RANKS = 20_000_000
+MC_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -58,22 +56,17 @@ def _owner_index(family: PartitionedFamily) -> tuple[np.ndarray, np.ndarray]:
     if index is not None:
         return index
     n, r = family.n, family.r
-    if math.comb(n, r) > MAX_OWNER_RANKS:
+    if too_many_r_sets(n, r):
         raise ScaleLimit(f"owner table over C({n},{r}) r-sets exceeds {MAX_OWNER_RANKS}")
-    edges: list = []
-    group_of: list[int] = []
-    member_of: list[int] = []
-    for gi, grp in enumerate(family.groups()):
-        for mi, (_, es) in enumerate(grp):
-            edges.extend(es)
-            group_of.extend([gi] * len(es))
-            member_of.extend([mi] * len(es))
-    arr = np.array(list(itertools.chain.from_iterable(edges)), dtype=np.intp).reshape(-1, r)
-    ranks = colex_rank(arr.T, n)
     group = np.full(math.comb(n, r), -1, dtype=np.int32)
     member = np.full(math.comb(n, r), -1, dtype=np.int32)
-    group[ranks] = group_of
-    member[ranks] = member_of
+    for block in family.member_blocks():
+        counts = [len(es) for *_, es in block]
+        rows = np.fromiter(itertools.chain.from_iterable(e for *_, es in block for e in es),
+                           dtype=np.intp, count=r * sum(counts)).reshape(-1, r)
+        ranks = colex_rank(rows.T, n)
+        group[ranks] = np.repeat([gi for gi, *_ in block], counts)
+        member[ranks] = np.repeat([mi for _, mi, *_ in block], counts)
     index = family.__dict__["_owner_index"] = (group, member)
     return index
 
@@ -276,10 +269,8 @@ def mc_fbar_and_bound(
     n = family.n
     if n < family.r + 2:
         raise DegenerateCycle(f"need n >= r+2 (got n={n}, r={family.r})")
-    bad_hits: list[float] = []
-    f_vals: list[float] = []
-    g_good: list[float] = []
-    g_all: list[float] = []
+    # bad, f and g of every row, block by block, as small int arrays
+    blocks = []
     for start in range(0, samples, MC_BLOCK):
         rows = min(MC_BLOCK, samples - start)
         bad, f, g = _block_stats(_permutation_rows(n, rows, rng), family)
@@ -288,17 +279,19 @@ def mc_fbar_and_bound(
         if over.size:
             i = over[0]
             raise AssertionError(f"good permutation with f={f[i]} > n-g={n - g[i]}")
-        g_all += g.astype(float).tolist()
-        bad_hits += bad.astype(float).tolist()
-        f_vals += f[good].astype(float).tolist()
-        g_good += g[good].astype(float).tolist()
-    if not f_vals:
+        blocks.append((bad, f.astype(np.int32), g.astype(np.int32)))
+    bad, f, g = (np.concatenate(col) for col in zip(*blocks))
+    del blocks
+    good = ~bad
+    if not good.any():
         raise InsufficientGoodSamples(f"no good permutation in {samples} samples")
 
-    bad = Estimate.of(bad_hits)
-    fbar = Estimate.of(f_vals)
-    gbar = Estimate.of(g_good)
-    g_star = Estimate.of(g_all)
+    # the values are small integers, so Python ints give the same sums as
+    # floats, exactly, in the same order
+    bad = Estimate.of(bad.astype(np.int8).tolist())
+    fbar = Estimate.of(f[good].tolist())
+    gbar = Estimate.of(g[good].tolist())
+    g_star = Estimate.of(g.tolist())
     log2_bound = log2_amgm_bound(1.0 - bad.mean, n, fbar.mean, spec.as_float())
     log2_e = log2_expectation_value(n, spec.as_float())
     exact = gbar_star_formula(family) if family.steiner_q is not None else None

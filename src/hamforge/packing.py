@@ -16,6 +16,7 @@ constants SWAP_BUDGET and RESTARTS; only the shuffle stream is a parameter.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -38,6 +39,11 @@ from .errors import (
 )
 from .geometry import SteinerSystem
 from .hypercore import Edge
+
+
+# r-sets past which a family's owner table, or a packing's leftover list, is
+# refused: the table holds two int32 entries per r-set of the family's vertices
+MAX_OWNER_RANKS = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -302,14 +308,25 @@ def build_random_packing(
     )
 
 
+def too_many_r_sets(n: int, r: int) -> bool:
+    """Whether C(n, r) exceeds MAX_OWNER_RANKS; the running binomial passes
+    the cap within a few dozen steps, whatever n and r are."""
+    count = 1
+    for i in range(min(r, n - r)):
+        count = count * (n - i) // (i + 1)
+        if count > MAX_OWNER_RANKS:
+            return True
+    return False
+
+
 def leftover_edges(packing: Packing, k: int | None = None) -> list[Edge]:
     """Edges of the complete r-graph not covered by any element, sorted."""
+    n, r = packing.n, packing.r
+    if too_many_r_sets(n, r):
+        raise ScaleLimit(f"listing the leftover edges means enumerating C({n},{r}) r-sets, "
+                         f"more than {MAX_OWNER_RANKS}")
     covered = packing.covered_edges()
-    out = [
-        e
-        for e in itertools.combinations(range(packing.n), packing.r)
-        if e not in covered
-    ]
+    out = [e for e in itertools.combinations(range(n), r) if e not in covered]
     if k is not None and len(out) % k:
         raise DivisibilityViolation(
             f"|W| = {len(out)} is not a multiple of k = {k}",
@@ -326,7 +343,15 @@ SWAP_BUDGET = 10_000  # relocations tried per pass
 RESTARTS = 8  # shuffled passes after the degree-ordered one
 
 
-def _first_fit(order: list[int], keys: list[frozenset], k: int) -> tuple[list[list[int]], int]:
+def _bits(key: int) -> Iterator[int]:
+    """The positions of the set bits of `key`, lowest first."""
+    while key:
+        low = key & -key
+        yield low.bit_length() - 1
+        key ^= low
+
+
+def _first_fit(order: list[int], keys: list[int], k: int) -> tuple[list[list[int]], int]:
     """One pass: place the items in `order` first-fit, with relocation repair.
 
     Returns the groups and how many items were placed; the pass succeeded
@@ -334,13 +359,13 @@ def _first_fit(order: list[int], keys: list[frozenset], k: int) -> tuple[list[li
     """
     n_groups = len(keys) // k
     groups: list[list[int]] = [[] for _ in range(n_groups)]
-    used: list[set[int]] = [set() for _ in range(n_groups)]  # union of member keys
+    used = [0] * n_groups  # union of member keys
     open_groups = list(range(n_groups))
     budget = SWAP_BUDGET
 
     def add(g: int, idx: int) -> None:
         groups[g].append(idx)
-        used[g].update(keys[idx])
+        used[g] |= keys[idx]
         if len(groups[g]) == k:
             open_groups.remove(g)
 
@@ -353,22 +378,23 @@ def _first_fit(order: list[int], keys: list[frozenset], k: int) -> tuple[list[li
                 return False
             for mi, member in enumerate(groups[g]):
                 rest = groups[g][:mi] + groups[g][mi + 1 :]
-                if not all(key.isdisjoint(keys[o]) for o in rest):
+                if any(key & keys[o] for o in rest):
                     continue
                 target = next(
-                    (h for h in open_groups if h != g and keys[member].isdisjoint(used[h])),
+                    (h for h in open_groups if h != g and not keys[member] & used[h]),
                     None,
                 )
                 budget -= 1
                 if target is not None:
                     groups[g] = rest + [idx]
-                    used[g] = set(key).union(*(keys[o] for o in rest))
+                    used[g] = functools.reduce(operator.or_, (keys[o] for o in rest), key)
                     add(target, member)
                     return True
         return False
 
     for placed, idx in enumerate(order):
-        g = next((g for g in open_groups if keys[idx].isdisjoint(used[g])), None)
+        key = keys[idx]
+        g = next((g for g in open_groups if not key & used[g]), None)
         if g is not None:
             add(g, idx)
         elif not repair(idx):
@@ -388,8 +414,9 @@ def partition_into_disjoint_groups(
 
     Greedy first-fit ordered by vertex-sharing degree, with relocation repair
     (at most SWAP_BUDGET relocations per pass) and RESTARTS shuffled restarts
-    drawn from `rng` (Random(0) when omitted). Each group keeps the union of
-    its members' vertex sets, so a fit test is one set-disjointness check.
+    drawn from `rng` (Random(0) when omitted). A vertex set is held as an int
+    with one bit per distinct vertex, and each group keeps the union of its
+    members' bits, so a fit test is one `&`.
     """
     items = list(items)
     if k < 1:
@@ -401,25 +428,34 @@ def partition_into_disjoint_groups(
     if k == 1:
         return [[it] for it in items]
 
-    keys = [frozenset(vertex_key(it)) for it in items]
+    bit: dict = {}  # vertex -> its bit, in order of first appearance
+    counts: Counter = Counter()  # bit -> items holding its vertex
+    keys: list[int] = []
+    for it in items:
+        bits = {bit.setdefault(v, len(bit)) for v in vertex_key(it)}
+        counts.update(bits)
+        keys.append(sum(1 << b for b in bits))
     if keys:
-        smallest = min(map(len, keys))
-        universe = len(frozenset().union(*keys))
-        if k * smallest > universe:
+        smallest = min(key.bit_count() for key in keys)
+        if k * smallest > len(bit):
             raise InvalidParams(
                 f"{k} disjoint items of at least {smallest} vertices each "
-                f"cannot fit in {universe} vertices"
+                f"cannot fit in {len(bit)} vertices"
             )
-    counts = Counter(v for ks in keys for v in ks)
-    degree = [sum(counts[v] - 1 for v in ks) for ks in keys]
+    # vertex-sharing degree: the other items met at each vertex
+    degree = [sum(counts[b] - 1 for b in _bits(key)) for key in keys]
 
-    order = sorted(range(len(items)), key=lambda i: (-degree[i], i))
+    # sort keeps equal keys in index order, reversed or not: ties stay in index order
+    order = sorted(range(len(items)), key=degree.__getitem__, reverse=True)
+    del degree
     shuffler = rng or Random(0)
     best = 0
     for _ in range(RESTARTS + 1):
         groups, placed = _first_fit(order, keys, k)
         if placed == len(items):
-            return [[items[i] for i in group] for group in groups]
+            for group in groups:
+                group[:] = [items[i] for i in group]
+            return groups
         best = max(best, placed)
         order = list(range(len(items)))
         shuffler.shuffle(order)
@@ -433,7 +469,43 @@ def partition_into_disjoint_groups(
 # partitioned families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _edge_outside_member(block: list, listed: list[Edge], rows: np.ndarray) -> str | None:
+    """The message for the first edge of a block of members that leaves its
+    member's vertices, None when every edge lies inside its member.
+
+    An edge lies inside its member when each of its (member, vertex) keys
+    member * span + vertex is among the member's own, looked up column by
+    column in the sorted keys; a last key above all others keeps every lookup
+    in range. Where the block's keys overflow int64 the caller's check over
+    the whole family raises ScaleLimit, so None is returned.
+    """
+    span = 1 + max(int(rows.max()), max((max(vs, default=0) for _, _, vs, _ in block), default=0))
+    if len(block) * span > np.iinfo(np.int64).max:
+        return None
+    base = np.arange(len(block) + 1, dtype=np.int64) * span
+    own = np.repeat(base[:-1], [len(vs) for _, _, vs, _ in block])
+    own += np.fromiter(itertools.chain.from_iterable(vs for _, _, vs, _ in block),
+                       dtype=np.int64, count=len(own))
+    own = np.sort(np.concatenate([own, base[-1:]]))
+    edge_counts = [len(es) for *_, es in block]
+    edge_base = np.repeat(base[:-1], edge_counts)
+    inside = np.ones(len(listed), dtype=bool)
+    for col in rows.T:
+        keys = edge_base + col
+        inside &= own[np.searchsorted(own, keys)] == keys
+    if inside.all():
+        return None
+    i = int(np.argmin(inside))
+    gi, a, _, _ = block[int(np.searchsorted(np.cumsum(edge_counts), i, side="right"))]
+    return f"edge {listed[i]} of group {gi} member {a} leaves its vertices"
+
+
+# whole groups are walked in blocks of at least this many edges wherever a
+# family's edges are converted to arrays, so no temporary grows with the family
+EDGE_BLOCK = 1 << 13
+
+
+@dataclass(frozen=True, slots=True)
 class FamilyElement:
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
@@ -465,79 +537,98 @@ class PartitionedFamily:
         n, r = self.n, self.r
         if n < 0 or r < 2 or self.k < 1:
             raise InvalidParams(f"need n >= 0, r >= 2 and k >= 1, got n={n}, r={r}, k={self.k}")
-        listed: list[Edge] = []
         placed: set = set()
-        member_vertices: list[int] = []  # every member's vertices, member by member
-        vertex_counts: list[int] = []
-        edge_counts: list[int] = []
+        members = edges = listed_vertices = 0
         distinct = 0  # distinct vertices summed over the groups
         for gi, grp in enumerate(self.groups()):
             if len(grp) != self.k:
                 raise InvalidParams(f"group {gi} has {len(grp)} members, expected {self.k}")
             used: set[int] = set()
-            for a, (vertices, edges) in enumerate(grp):
+            for a, (vertices, es) in enumerate(grp):
                 if not used.isdisjoint(vertices):
                     raise InvalidParams(f"group {gi} member {a} shares a vertex with another member")
                 used.update(vertices)
-                member_vertices.extend(vertices)
-                vertex_counts.append(len(vertices))
-                listed.extend(edges)
-                edge_counts.append(len(edges))
+                listed_vertices += len(vertices)
+                edges += len(es)
+            members += len(grp)
             placed |= used
             distinct += len(used)
-        if len(set(listed)) < len(listed):
-            seen: set[Edge] = set()
-            e = next(e for e in listed if e in seen or seen.add(e))
-            raise InvalidParams(f"edge {e} appears twice in the family")
+        # equal edges hash alike: only edges whose hash recurs can be listed twice
+        hashes = np.fromiter(map(hash, self._edges()), dtype=np.int64, count=edges)
+        hashes.sort()
+        recurs = hashes[1:][hashes[1:] == hashes[:-1]]
+        if recurs.size:
+            clash, seen = set(recurs.tolist()), set()
+            e = next((e for e in self._edges()
+                      if hash(e) in clash and (e in seen or seen.add(e))), None)
+            if e is not None:
+                raise InvalidParams(f"edge {e} appears twice in the family")
+        del hashes, recurs
         bad = [x for x in placed if type(x) is not int or not 0 <= x < n]
         if bad:
             raise InvalidParams(f"a member has the vertex {bad[0]!r}, outside [0,{n})")
         # the members of a group are disjoint, so a group has fewer distinct
         # vertices than its members list only where a member repeats one
-        if distinct < len(member_vertices):
+        if distinct < listed_vertices:
             gi, a = next((gi, a) for gi, grp in enumerate(self.groups())
                          for a, (vertices, _) in enumerate(grp) if len(set(vertices)) < len(vertices))
             raise InvalidParams(f"group {gi} member {a} repeats a vertex")
-        if not listed:
+        if not edges:
             return
-        # the edges are checked in bulk first, and scanned one by one only to
-        # name a bad one: a Python test per edge would cost more than the loop
-        # above on an S(3,4,82) family
-        flat = np.array(list(itertools.chain.from_iterable(listed)))
-        rows = flat.reshape(-1, r) if flat.dtype.kind == "i" and set(map(len, listed)) == {r} else None
-        if (rows is None or rows[:, 0].min() < 0 or rows[:, -1].max() >= n
-                or (rows[:, 1:] <= rows[:, :-1]).any()
-                # numpy reads a bool as 0 or 1, so only an edge holding 0 or 1 can hide one
-                or any(type(x) is bool for i in np.flatnonzero(rows[:, 0] <= 1).tolist()
-                       for x in listed[i])):
-            e = next((e for e in listed
-                      if not (len(e) == r and all(type(x) is int and 0 <= x < n for x in e)
-                              and all(map(operator.lt, e, e[1:])))), None)
-            if e is None:  # every edge is well formed, but numpy holds no int64 for some vertex
-                raise ScaleLimit(f"a vertex of some edge overflows int64 (n = {n})")
-            raise InvalidParams(f"edge {e} is not an increasing {r}-tuple of vertices in [0,{n})")
-        # an edge lies inside its member when each of its (member, vertex) keys
-        # member * span + vertex is among the member's own, looked up column by
-        # column in the sorted keys; a last key above all others keeps every
-        # lookup in range
-        span = 1 + max(int(rows.max()), max(member_vertices, default=0))
-        if len(edge_counts) * span > np.iinfo(np.int64).max:
-            raise ScaleLimit(f"{len(edge_counts)} members with vertices up to {span - 1} "
+        # the edges are checked in bulk, one block of members at a time, and
+        # scanned one by one only to name a bad one: a Python test per edge
+        # would cost more than the loop above on an S(3,4,82) family
+        top = 0  # the largest vertex of any edge
+        outside = None  # the first edge outside its member, as its message
+        for block in self.member_blocks():
+            listed = [e for *_, es in block for e in es]
+            if not listed:
+                continue
+            flat = np.array(list(itertools.chain.from_iterable(listed)))
+            rows = flat.reshape(-1, r) if flat.dtype.kind == "i" and set(map(len, listed)) == {r} else None
+            if (rows is None or rows[:, 0].min() < 0 or rows[:, -1].max() >= n
+                    or (rows[:, 1:] <= rows[:, :-1]).any()
+                    # numpy reads a bool as 0 or 1, so only an edge holding 0 or 1 can hide one
+                    or any(type(x) is bool for i in np.flatnonzero(rows[:, 0] <= 1).tolist()
+                           for x in listed[i])):
+                e = next((e for e in self._edges()
+                          if not (len(e) == r and all(type(x) is int and 0 <= x < n for x in e)
+                                  and all(map(operator.lt, e, e[1:])))), None)
+                if e is None:  # every edge is well formed, but numpy holds no int64 for some vertex
+                    raise ScaleLimit(f"a vertex of some edge overflows int64 (n = {n})")
+                raise InvalidParams(f"edge {e} is not an increasing {r}-tuple of vertices in [0,{n})")
+            top = max(top, int(rows[:, -1].max()))
+            if outside is None:
+                outside = _edge_outside_member(block, listed, rows)
+        # (member, vertex) keys numbered over the whole family must fit int64
+        span = 1 + max(top, max(placed, default=0))
+        if members * span > np.iinfo(np.int64).max:
+            raise ScaleLimit(f"{members} members with vertices up to {span - 1} "
                              "overflow int64 keys")
-        base = np.arange(len(edge_counts) + 1, dtype=np.int64) * span
-        own = np.repeat(base[:-1], vertex_counts) + member_vertices
-        own = np.sort(np.concatenate([own, base[-1:]]))
-        edge_base = np.repeat(base[:-1], edge_counts)
-        inside = np.ones(len(listed), dtype=bool)
-        for col in rows.T:
-            keys = edge_base + col
-            inside &= own[np.searchsorted(own, keys)] == keys
-        if not inside.all():
-            i = int(np.argmin(inside))
-            m = int(np.searchsorted(np.cumsum(edge_counts), i, side="right"))
-            labels = ((gi, a) for gi, grp in enumerate(self.groups()) for a in range(len(grp)))
-            gi, a = next(itertools.islice(labels, m, None))
-            raise InvalidParams(f"edge {listed[i]} of group {gi} member {a} leaves its vertices")
+        if outside is not None:
+            raise InvalidParams(outside)
+
+    def _edges(self) -> Iterator[Edge]:
+        """Every edge of the family, in listing order."""
+        for grp in self.groups():
+            for _, es in grp:
+                yield from es
+
+    def member_blocks(self) -> Iterator[list[tuple[int, int, tuple[int, ...], tuple[Edge, ...]]]]:
+        """Every member as (group, member, vertices, edges), in listing order,
+        in lists of whole groups holding at least EDGE_BLOCK edges; only the
+        last list may hold fewer."""
+        block: list = []
+        size = 0
+        for gi, grp in enumerate(self.groups()):
+            for mi, (vertices, es) in enumerate(grp):
+                block.append((gi, mi, vertices, es))
+                size += len(es)
+            if size >= EDGE_BLOCK:
+                yield block
+                block, size = [], 0
+        if block:
+            yield block
 
     def groups(self) -> Iterator[tuple[tuple[tuple[int, ...], tuple[Edge, ...]], ...]]:
         for grp in self.element_groups:
@@ -581,10 +672,10 @@ class PartitionedFamily:
         # nested list is a TypeError, and int() of an infinite float overflows
         try:
             return cls(
-                n=int(data["n"]),
-                r=int(data["r"]),
-                k=int(data["k"]),
-                steiner_q=(None if data.get("steiner_q") is None else int(data["steiner_q"])),
+                n=_json_int(data, "n"),
+                r=_json_int(data, "r"),
+                k=_json_int(data, "k"),
+                steiner_q=(None if data.get("steiner_q") is None else _json_int(data, "steiner_q")),
                 element_groups=tuple(
                     tuple(
                         FamilyElement(
@@ -603,14 +694,23 @@ class PartitionedFamily:
             raise ParseError(f"malformed family JSON: {exc}") from None
 
 
+def _json_int(data: dict, key: str) -> int:
+    """The JSON integer data[key]; a bool, a float or a string is refused,
+    although int() would take it."""
+    value = data[key]
+    if type(value) is not int:
+        int(value)  # infinity, NaN and text that is no number fail with int()'s message
+        raise ParseError(f"malformed family JSON: {key} must be an integer, got {value!r}")
+    return value
+
+
 def family_from_design(system: SteinerSystem, k: int, *, rng: Random | None = None) -> PartitionedFamily:
     """Partition a Steiner system's blocks into vertex-disjoint k-groups.
 
     Each block becomes a complete 3-graph element; designs cover every
     triple, so there are no leftover edges.
     """
-    blocks = list(system.blocks)
-    groups = partition_into_disjoint_groups(blocks, k, lambda b: b, rng=rng)
+    groups = partition_into_disjoint_groups(system.blocks, k, lambda b: b, rng=rng)
     element_groups = tuple(
         tuple(
             FamilyElement(
@@ -620,6 +720,7 @@ def family_from_design(system: SteinerSystem, k: int, *, rng: Random | None = No
         )
         for grp in groups
     )
+    del groups  # the family is checked next; these lists would only add to its peak
     fam = PartitionedFamily(
         n=system.n, r=3, k=k,
         element_groups=element_groups,
@@ -688,6 +789,9 @@ def read_packing(stream: TextIO) -> Packing:
         n, r, q, K, k, z = (int(x) for x in header)
     except ValueError:
         raise ParseError("line 1: non-integer packing header") from None
+    if not (2 <= r <= q <= n and K >= 0 and k >= 1 and z >= 0):
+        raise ParseError(f"line 1: no packing has the header '{' '.join(header)}'; "
+                         "need 2 <= r <= q <= n, K >= 0, k >= 1 and z >= 0")
     lineno = 1
     vertex_sets = []
     edge_sets = []

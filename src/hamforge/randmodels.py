@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConstructionBug, InvalidParams
-from .hypercore import Edge, Hypergraph
+from .hypercore import Hypergraph
 from .packing import PartitionedFamily
 
 
@@ -107,13 +107,10 @@ def build_quasirandom_from_partition(
         raise InvalidParams(
             f"density denominator {spec.den} must equal the family's k = {family.k}"
         )
-    ln = spec.num
-    edges: set[Edge] = set()
-    for grp in family.groups():
-        for idx in rng.sample(range(family.k), ln):
-            edges.update(grp[idx][1])
+    chosen = itertools.chain.from_iterable(
+        grp[idx][1] for grp in family.groups() for idx in rng.sample(range(family.k), spec.num))
     # a family's edges were checked as increasing r-tuples in [0, n) when it was made
-    graph = Hypergraph(family.n, family.r, frozenset(edges))
+    graph = Hypergraph(family.n, family.r, frozenset(chosen))
     if family.is_complete() and family.uniform_element_size() is not None:
         want = _edge_target(family.n, family.r, spec.as_fraction())
         if graph.edge_count != want:
@@ -124,7 +121,7 @@ def build_quasirandom_from_partition(
 
 
 # bytes of boolean temporaries one block of audited subsets may hold
-AUDIT_BLOCK_BYTES = 1 << 23
+AUDIT_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -211,7 +208,8 @@ def audit_quasirandomness(
 def _inside_counts(graph: Hypergraph, subsets: Sequence[Sequence[int]]) -> list[int]:
     """Edges of `graph` inside each vertex subset, counted over blocks of
     subsets sized so their boolean temporaries fit AUDIT_BLOCK_BYTES."""
-    edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, graph.r)
+    edges = np.fromiter(itertools.chain.from_iterable(graph.edges), dtype=np.intp,
+                        count=graph.r * graph.edge_count).reshape(-1, graph.r)
     rows = max(1, AUDIT_BLOCK_BYTES // (2 * len(edges) + graph.n))
     counts: list[int] = []
     for start in range(0, len(subsets), rows):
@@ -219,8 +217,11 @@ def _inside_counts(graph: Hypergraph, subsets: Sequence[Sequence[int]]) -> list[
         inside = np.zeros((len(block), graph.n), dtype=bool)
         for i, sub in enumerate(block):
             inside[i, list(sub)] = True
-        hit = inside[:, edges[:, 0]]
+        # a gather into one reused buffer: numpy's fancy indexing costs more per
+        # call, and these blocks are small
+        hit = np.take(inside, edges[:, 0], axis=1)
+        column = np.empty_like(hit)
         for j in range(1, graph.r):
-            hit &= inside[:, edges[:, j]]
+            hit &= np.take(inside, edges[:, j], axis=1, out=column)
         counts += np.count_nonzero(hit, axis=1).tolist()
     return counts

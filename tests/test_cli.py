@@ -164,6 +164,32 @@ def test_infinite_family_size_exits_2(tmp_path, capsys, field, command):
     assert captured.out == ""
 
 
+def test_fractional_family_size_exits_2(tmp_path, capsys):
+    # int() would read 6.7 as 6 and load the family
+    fam = tmp_path / "f.json"
+    fam.write_text(json.dumps({"n": 6.7, "r": 3, "k": 1, "steiner_q": None,
+                               "element_groups": [], "leftover_groups": [[[0, 1, 2]]]}))
+    assert run(["build", "--family", fam, "--l", 1, "--seed", 5, "--out", tmp_path / "o"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "ParseError: malformed family JSON: n must be an integer, got 6.7\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("header, error", [
+    ("5 -3 4 0 2 0", "ParseError: line 1: no packing has the header '5 -3 4 0 2 0'"),
+    ("100000 3 4 0 2 0", "ScaleLimit: listing the leftover edges means enumerating C(100000,3)"),
+], ids=["negative-r", "huge-n"])
+def test_impossible_packing_header_exits_2(tmp_path, capsys, header, error):
+    bad = tmp_path / "p.txt"
+    bad.write_text(f"{header}\nW 0\n")
+    start = time.perf_counter()
+    assert run(["family", "--packing", bad, "--k", 2, "--seed", 1,
+                "--out", tmp_path / "f.json"]) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith(error) and "Traceback" not in err, err
+
+
 def test_experiment_preset_reproducible(tmp_path, capsys):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -389,6 +390,19 @@ def test_family_reader_raises_only_typed_errors(data):
     assert PartitionedFamily.from_json_dict(fam.to_json_dict()) == fam
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 6.7), ("n", 6.0), ("n", True), ("n", "6"), ("r", 3.0), ("k", True), ("k", "1"),
+    ("steiner_q", 2.5), ("steiner_q", False),
+])
+def test_family_json_sizes_are_json_integers(field, value):
+    # int() would read 6.7 as 6, true as 1 and "6" as 6
+    data = {"n": 6, "r": 3, "k": 1, "steiner_q": None, "leftover_groups": [[[0, 1, 2]]],
+            "element_groups": []}
+    PartitionedFamily.from_json_dict(data)
+    with pytest.raises(ParseError, match=f"{field} must be an integer, got {value!r}"):
+        PartitionedFamily.from_json_dict({**data, field: value})
+
+
 def test_singleton_family():
     # every edge of K_6^3 in its own leftover group
     groups = tuple((e,) for e in itertools.combinations(range(6), 3))
@@ -405,3 +419,82 @@ def test_packing_file_round_trip():
     assert again == packing
     header = buf.getvalue().splitlines()[0].split()
     assert [int(x) for x in header[:5]] == [60, 3, 8, 30, 3]
+
+
+def _small_packing_text():
+    packing = Packing(n=6, r=3, q=3, k=2, z=1, vertex_sets=((0, 1, 2), (3, 4, 5)),
+                      edge_sets=(((0, 1, 2),), ((3, 4, 5),)))
+    buf = io.StringIO()
+    write_packing(packing, buf)
+    return buf.getvalue().splitlines()
+
+
+_token = (st.integers(-3, 12).map(str) | st.sampled_from(["100000", str(2**64), "W", "x", "1.5", ""])
+          | st.text(max_size=3))
+_line = st.lists(_token, max_size=7).map(" ".join)
+
+
+@st.composite
+def _packing_texts(draw):
+    """A packing file: free lines, or a valid one with some lines replaced,
+    dropped or repeated."""
+    if draw(st.booleans()):
+        return "\n".join(draw(st.lists(_line, max_size=10)))
+    lines = _small_packing_text()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["replace", "drop", "repeat"]))
+        if edit == "replace":
+            lines[i] = draw(_line)
+        elif edit == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(_packing_texts())
+def test_packing_reader_raises_only_typed_errors(text):
+    # any text gives a packing or one of three typed errors
+    try:
+        packing = read_packing(io.StringIO(text))
+    except (ParseError, InvalidParams, ScaleLimit):
+        return
+    buf = io.StringIO()
+    write_packing(packing, buf)
+    assert read_packing(io.StringIO(buf.getvalue())) == packing
+
+
+@pytest.mark.parametrize("header, error", [
+    ("5 -3 4 0 2 0", ParseError), ("6 3 7 0 2 0", ParseError), ("6 3 4 0 0 0", ParseError),
+    ("6 3 4 -1 2 0", ParseError), ("6 3 4 0 2 -1", ParseError),
+    ("100000 3 4 0 2 0", ScaleLimit), (f"{2**64} {2**63} {2**63} 0 1 0", ScaleLimit),
+])
+def test_packing_header_no_packing_has_is_refused(header, error):
+    # the leftover block is listed only after a header some packing can have,
+    # and over at most MAX_OWNER_RANKS r-sets
+    with pytest.raises(error):
+        read_packing(io.StringIO(f"{header}\nW 0\n"))
+
+
+def test_family_and_first_estimate_peaks_are_bounded():
+    # S(3,5,65) at k=2: 4368 blocks of ten triples each
+    system = build_spherical_steiner(4, 3)
+    tracemalloc.start()
+    try:
+        fam = family_from_design(system, 2, rng=random.Random(0))
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        mc_fbar_and_bound(fam, DensitySpec(1, 2), 4000, random.Random(1))
+        above = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    # the partitioner's and the checks' temporaries stay well below the family
+    assert peak <= 1.5 * kept, (peak, kept)
+    # the owner table holds two int32 entries per r-set; the rest is a few
+    # blocks of permutations and a small int per sample
+    assert above <= 8 * math.comb(fam.n, 3) + 2**21, above
