@@ -1,13 +1,16 @@
 """Exact tight-Hamiltonian-cycle counting, permanents, and counting bounds.
 
-The exact counter anchors cycles at vertex 0 to kill rotations and divides by
-two for reversal, so all 2n symmetric traversals of one cycle collapse to a
-single count. One vectorized subset DP counts at every n and r; one edge
-table steps its frontier, starts it and closes the cycle. Counts are exact
-integers: a step whose entries stay below 2^24 runs in float32, one below
-2^53 in float64, and past 2^53 the last steps run in float64 modulo coprime
-moduli, whose closure sums, taken in Python ints, the Chinese remainder
-theorem joins.
+The exact counter anchors cycles at vertex 0 to kill rotations and uses
+reversal where it can, so all 2n symmetric traversals of one cycle
+collapse to a single count: an even r' centres its prefixes on vertex 0
+and runs one of each reversed pair, r' = 2 joins the paths over half the
+free vertices at the middle layer, and an odd r' counts both directions
+and divides by two. One vectorized subset DP counts at every n and r; one
+edge table steps its frontier, starts it and closes the cycle. Counts are
+exact integers: a step whose entries stay below 2^24 runs in float32, one
+below 2^53 in float64, and past 2^53 the last steps run in float64 modulo
+coprime moduli, whose closure sums, taken in Python ints, the Chinese
+remainder theorem joins.
 """
 
 from __future__ import annotations
@@ -194,19 +197,49 @@ def _step_dtype(k: int, moduli: tuple[int, ...]) -> np.dtype:
     return np.dtype(np.float32 if math.factorial(k) < min((2**24, *moduli)) else np.float64)
 
 
-def _buffer_bytes(N: int, K: int, ng: int, moduli: tuple[int, ...]) -> int:
+def _dp_steps(r: int, K: int) -> int:
+    """Matmul steps of _dp_count_numpy, with r and K from _dp_shape.
+
+    r > 2 steps from U-layer 1 to K. r = 2, where K = N, stops at the
+    middle: it gathers up to layer ceil(N/2) and joins that layer with the
+    product of layer floor(N/2), which is the last step's P for odd N and one
+    more matmul for even N.
+    """
+    return K - 1 if r > 2 else K // 2
+
+
+def _prefixes(n: int, r: int) -> list[tuple[int, ...]]:
+    """Anchored prefixes of _dp_count_numpy, with r the r' of _dp_shape.
+
+    A prefix is r-1 consecutive vertices of a cycle, one of them 0. For odd
+    r they are (0, mid) over the injective (r-2)-tuples mid, one per
+    directed cycle. For even r they are (a, 0, b), with h = (r-2)/2
+    vertices on each side, and only those with a[-1] < b[0]: reversal maps
+    (a, 0, b) to (b reversed, 0, a reversed), which swaps the neighbours of
+    0, so exactly one direction of each cycle has a kept prefix, and the
+    count doubles its sum. For r = 2 the one prefix (0,) is its own reverse.
+    An odd r cannot centre 0 in its r-1 places, and reversal maps (0, mid)
+    to a prefix that ends at 0, so it keeps both directions.
+    """
+    h = (r - 2) // 2 if r % 2 == 0 else 0
+    return [mid[:h] + (0,) + mid[h:] for mid in itertools.permutations(range(1, n), r - 2)
+            if not h or mid[h - 1] < mid[h]]
+
+
+def _buffer_bytes(r: int, N: int, K: int, ng: int, moduli: tuple[int, ...]) -> int:
     """Bytes of one layer buffer: the largest L, P or fmod of P of a count.
 
-    Step k reads U-layer k, of comb(K, k) + 1 u columns, and writes layer
-    k+1, in _step_dtype(k, moduli) and in len(moduli) channels once k!
-    reaches min(moduli), else in one. The first float64 step copies its
-    layer up from float32, and the start layer, of K + 1 columns, is float32.
+    Step k, for k up to _dp_steps(r, K), reads U-layer k, of comb(K, k) + 1
+    u columns, and writes layer k+1, in _step_dtype(k, moduli) and in
+    len(moduli) channels once k! reaches min(moduli), else in one. The
+    first float64 step copies its layer up from float32, and the start
+    layer, of K + 1 columns, is float32.
     """
     fork = min(moduli, default=math.inf)
     return N * ng * max([4 * (K + 1)] + [(max(math.comb(K, k), math.comb(K, k + 1)) + 1)
                                          * _step_dtype(k, moduli).itemsize
                                          * (len(moduli) if math.factorial(k) >= fork else 1)
-                                         for k in range(1, K)])
+                                         for k in range(1, _dp_steps(r, K) + 1)])
 
 
 def _dp_workers(n: int, r: int) -> int:
@@ -217,10 +250,10 @@ def _dp_workers(n: int, r: int) -> int:
     """
     moduli = _dp_moduli(n, r)
     r, N, K, ng = _dp_shape(n, r)
-    if _buffer_bytes(N, K, ng, moduli) < THREAD_MIN_LAYER_BYTES:
+    if _buffer_bytes(r, N, K, ng, moduli) < THREAD_MIN_LAYER_BYTES:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, math.perm(n - 1, r - 2))
+    return min(cpus or 1, len(_prefixes(n, r)))
 
 
 def _shape_tables(n: int, r: int) -> tuple:
@@ -297,12 +330,39 @@ def _shape_tables(n: int, r: int) -> tuple:
     return tables
 
 
+def _exact_dot(x: np.ndarray, y: np.ndarray) -> int:
+    """The sum of x * y, as a Python int, over two equal-size arrays of integers in [0, 2^53).
+
+    y is cut into limbs as wide as its largest entry, but at most 24 bits,
+    and x into limbs of the other 48 - that many bits. So a product of two
+    limbs is below 2^48, and an int64 sum of 2^15 of them cannot overflow;
+    those sums are shifted and added in Python ints.
+    """
+    x, y = x.astype(np.int64), y.astype(np.int64)
+    bx, by = (int(z.max(initial=0)).bit_length() for z in (x, y))
+
+    def limbs(z, bits, width):
+        if bits <= width:
+            yield 0, z
+            return
+        for shift in range(0, bits, width):
+            limb = z >> shift
+            limb &= (1 << width) - 1
+            yield shift, limb
+
+    wy = min(by, 24)
+    ys = list(limbs(y, by, wy))
+    q = 1 << 15
+    return sum(int(np.dot(u[i : i + q], v[i : i + q])) << (s + t)
+               for s, u in limbs(x, bx, 48 - wy) for t, v in ys for i in range(0, x.size, q))
+
+
 def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | None = None) -> int:
     """Layered vectorized subset DP over the vertices outside an anchored prefix.
 
-    Returns twice the cycle count. Each prefix (0, ...) of r-1 vertices
-    leaves N = n-r+1 free vertices, addressed by slot. A layer L[t1, g, u, c]
-    counts, in channel c, the orderings of its placed free vertices that pass
+    Returns twice the cycle count. Each anchored prefix of r-1 vertices
+    (_prefixes) leaves N = n-r+1 free vertices, addressed by slot. A layer
+    L[t1, g, u, c] counts, in channel c, the orderings of its placed free vertices that pass
     every window so far and end at the frontier (t1, G). g indexes the
     injective (r-2)-tuple G = (t2, ..., t_{r-1}) of slots, and u ranks the
     placed set minus G among the subsets of the K = N-r+2 other slots
@@ -320,6 +380,20 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | N
     exact channel until k! reaches min(moduli), then one per modulus; the
     closure sums each channel in Python ints and the CRT joins them; see
     _dp_moduli.
+
+    Reversal halves the work for every even r. An even r > 2 centres its
+    prefixes on 0 and runs only one of each reversed pair, then doubles the
+    sum. r = 2 has the one prefix (0,) and stops at the middle: with m =
+    ceil(N/2), a directed cycle's first m free vertices, ending at w, are a
+    path of layer m, and its other N-m, read back from 0, are a path of
+    layer N-m that P then steps to w. So 2H = sum over w and i of
+    P[w, i] * L_m[w, C-1-i], with P the product of layer N-m and C =
+    comb(N, m): the complements of the sorted popcount-(N-m) masks are the
+    popcount-m masks in reverse order. For even N that product is one more
+    matmul from layer m, in _step_dtype(m), and is joined unreduced, as its
+    sums of N entries below min(moduli) or a modulus stay below 2^53. The
+    join runs per channel and per w in int64 limbs (_exact_dot). An odd r
+    counts both directions; see _prefixes.
 
     The prefixes are split over `workers` threads (default _dp_workers):
     the calling thread runs one share. Each worker keeps its layers in two
@@ -344,7 +418,8 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | N
     start = (*np.indices((N, ng)), a, 0)
     fork = min(moduli, default=math.inf)
     residues = np.array(moduli, dtype=np.float64)
-    dtypes = [_step_dtype(k, moduli) for k in range(1, K)]
+    dtypes = [_step_dtype(k, moduli) for k in range(1, _dp_steps(r, K) + 1)]
+    gathers = K - 1 if r > 2 else (N + 1) // 2 - 1  # r = 2: up to the middle layer
 
     def flat(buffer, dtype, size):
         return buffer[: size * dtype.itemsize].view(dtype)
@@ -354,9 +429,9 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | N
         # r-1 weight the start at layer r-1, and the last r-1 close the cycle
         seq = np.empty((3 * r - 3, N, ng), dtype=np.intp)
         totals = [0]
-        for mid in prefixes:
-            free = np.array([u for u in range(1, n) if u not in mid])
-            seq[: r - 1] = seq[2 * r - 2 :] = np.array((0,) + mid)[:, None, None]
+        for prefix in prefixes:
+            free = np.array([u for u in range(n) if u not in prefix])
+            seq[: r - 1] = seq[2 * r - 2 :] = np.array(prefix)[:, None, None]
             seq[r - 1 : 2 * r - 2] = np.moveaxis(free[F], 2, 0)
             w = T[sum(seq[j : j + 2 * r - 2] * weights[j] for j in range(r))]
             E = T[(free[G] @ weights[1:-1])[:, None, None] + free[:, None] + free * n ** (r - 1)]
@@ -376,6 +451,8 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | N
                 P = np.matmul(E, L.transpose(1, 0, 2, 3).reshape(ng, N, -1),
                               out=flat(dst, dtype, L.size).reshape(ng, N, -1)).reshape(N, -1, c)
                 src, dst = dst, src
+                if k > gathers:  # r = 2, even N: the product of the middle layer
+                    break
                 if math.factorial(k) >= fork:
                     c = len(moduli)
                     out = flat(dst, dtype, P[..., 0].size * c).reshape(N, -1, c)
@@ -385,13 +462,19 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | N
                 for t, idx in enumerate(slot_indices):
                     P[t].take(idx, axis=0, out=L[t], mode="clip")
                 src, dst = dst, src
-            ends = L[..., 0, :][w[r - 1 :].prod(0) != 0].T.tolist()
-            totals = [s + sum(map(int, ch)) for s, ch in zip(itertools.cycle(totals), ends)]
+            if r == 2:
+                C = math.comb(N, N // 2)
+                ends = [sum(_exact_dot(P[v, :C, ch], L[v, 0, C - 1 :: -1, ch]) for v in range(N))
+                        for ch in range(L.shape[-1])]
+            else:
+                ends = [sum(map(int, ch))
+                        for ch in L[..., 0, :][w[r - 1 :].prod(0) != 0].T.tolist()]
+            totals = [s + end for s, end in zip(itertools.cycle(totals), ends)]
         return totals
 
-    prefixes = list(itertools.permutations(range(1, n), r - 2))
+    prefixes = _prefixes(n, r)
     workers = min(workers, len(prefixes))
-    size = _buffer_bytes(N, K, ng, moduli)
+    size = _buffer_bytes(r, N, K, ng, moduli)
     buffers = [(np.empty(size, np.uint8), np.empty(size, np.uint8))  # on this thread
                for _ in range(workers)]
     shares: list = [None] * workers
@@ -410,7 +493,8 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | N
         thread.join()
     if errors := [share for share in shares if isinstance(share, BaseException)]:
         raise errors[0]
-    totals = [sum(channel) for channel in zip(*shares)]
+    twice = 2 if r > 2 and r % 2 == 0 else 1  # one of each reversed pair of prefixes ran
+    totals = [twice * sum(channel) for channel in zip(*shares)]
     if not moduli:
         return totals[0]
     big = math.prod(moduli)  # if no step reduced, the one exact total serves every modulus
@@ -422,11 +506,14 @@ def _estimate_dp_bytes(n: int, r: int, workers: int | None = None) -> int:
     """Upper bound on the bytes _dp_count_numpy(graph, _dp_moduli(n, r), workers) holds.
 
     workers defaults to _dp_workers(n, r). Each worker holds two layer
-    buffers of _buffer_bytes: L, its float64 copy, P, the fmod of P and the
-    next L all live in them. take casts a kept slot index to intp, and for
-    r = 2 the index is built in intp, with its bit-test temporaries, as the
-    step runs: six intp per entry of a slot's block, at the widest layer
-    e_k = N * ng * (comb(K, k) + 1) (see _dp_shape), cover either. E holds
+    buffers of _buffer_bytes, which cover only the steps that run: L, its
+    float64 copy, P, the fmod of P and the next L all live in them. take
+    casts a kept slot index to intp; for r = 2 the index is built in intp,
+    with its bit-test temporaries, as the step runs, and the middle join
+    holds at most six int64 copies and limbs (_exact_dot) per entry of one
+    slot's row. Six intp per entry of a slot's block, at the widest layer
+    e_k = N * ng * (comb(K, k) + 1) (see _dp_shape), cover each; for r = 2
+    the middle layer is the widest that runs. E holds
     ng * N^2 float32s and their float64 copy, plus two intp each to build
     it, and the start and closure windows take 12r intp per frontier; each
     worker holds its own. Shared once: for r > 2 the kept shape tables,
@@ -443,7 +530,7 @@ def _estimate_dp_bytes(n: int, r: int, workers: int | None = None) -> int:
     e = [N * ng * (math.comb(K, k) + 1) for k in range(K + 1)]
     indices = sum(e[k + 1] * (2 if ng * (math.comb(K, k) + 1) <= 1 << 16 else 4)
                   for k in range(1, K)) if r > 2 else 0
-    worker = (2 * _buffer_bytes(N, K, ng, moduli) + 48 * e[K // 2] // N + ng * N * N * 28
+    worker = (2 * _buffer_bytes(r, N, K, ng, moduli) + 48 * e[K // 2] // N + ng * N * N * 28
               + 12 * r * 8 * N * ng)
     return (workers * worker + indices + n**r * 12 + 10 * r * 8 * N * ng + 2 * 8 * 2**K
             + (1 << 16))

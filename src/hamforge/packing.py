@@ -308,15 +308,26 @@ def build_random_packing(
     )
 
 
-def too_many_r_sets(n: int, r: int) -> bool:
-    """Whether C(n, r) exceeds MAX_OWNER_RANKS; the running binomial passes
-    the cap within a few dozen steps, whatever n and r are."""
+def capped_comb(n: int, r: int, cap: int) -> int:
+    """C(n, r) when it is at most cap, else a number above cap.
+
+    The running binomial C(n, i) grows with i up to min(r, n-r), so it
+    stops as soon as it passes cap, within a few dozen steps for a cap that
+    fits in memory, whatever n and r are.
+    """
+    if not 0 <= r <= n:
+        return 0
     count = 1
     for i in range(min(r, n - r)):
         count = count * (n - i) // (i + 1)
-        if count > MAX_OWNER_RANKS:
-            return True
-    return False
+        if count > cap:
+            break
+    return count
+
+
+def too_many_r_sets(n: int, r: int) -> bool:
+    """Whether C(n, r) exceeds MAX_OWNER_RANKS."""
+    return capped_comb(n, r, MAX_OWNER_RANKS) > MAX_OWNER_RANKS
 
 
 def leftover_edges(packing: Packing, k: int | None = None) -> list[Edge]:
@@ -640,7 +651,8 @@ class PartitionedFamily:
         return sum(len(edges) for grp in self.groups() for _, edges in grp)
 
     def is_complete(self) -> bool:
-        return self.total_edges() == math.comb(self.n, self.r)
+        total = self.total_edges()
+        return capped_comb(self.n, self.r, total) == total
 
     def uniform_element_size(self) -> int | None:
         sizes = {len(el.edges) for grp in self.element_groups for el in grp}

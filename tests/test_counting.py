@@ -82,6 +82,37 @@ def dict_dp_count(graph):
     return total
 
 
+def inclusion_exclusion_count(graph, primes=(67108859, 67108837)):
+    """Oracle for r = 2 by inclusion-exclusion (Karp 1982); twice the cycle count.
+
+    A closed walk of n steps from 0 inside a vertex set S that holds 0 is a
+    directed Hamiltonian cycle exactly when it visits every vertex, so the
+    sum over all such S of (-1)^(n-|S|) times the number of those walks is
+    2H. The walks of all 2^(n-1) sets step together on a numpy axis, in
+    int64 modulo each prime, and the Chinese remainder theorem joins the
+    residues. It shares no code with the DP.
+    """
+    n = graph.n
+    big = math.prod(primes)
+    assert graph.r == 2 and big > math.factorial(n - 1)  # 2H <= (n-1)!
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u, v in graph.edges:
+        adj[u, v] = adj[v, u] = 1
+    subsets = np.arange(1 << (n - 1))
+    inside = np.ones((subsets.size, n), dtype=np.int64)  # vertex 0 is in every set
+    inside[:, 1:] = subsets[:, None] >> np.arange(n - 1) & 1
+    sign = np.where((n - inside.sum(1)) % 2, -1, 1)
+    total = 0
+    for p in primes:
+        walks = np.zeros((subsets.size, n), dtype=np.int64)
+        walks[:, 0] = 1
+        for _ in range(n):
+            walks = walks @ adj % p * inside
+        residue = int((sign * walks[:, 0]).sum()) % p
+        total += residue * (big // p) * pow(big // p, -1, p)
+    return total % big
+
+
 def test_complete_graph_counts():
     assert brute_force_ham_count(Hypergraph.complete(5, 3)).count == 12
     assert exact_ham_count(Hypergraph.complete(7, 3)).count == 360
@@ -144,6 +175,53 @@ def test_numpy_backend_matches_dict_backend():
             assert _dp_count_numpy(g, moduli) == want
 
 
+PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
+
+
+def test_inclusion_exclusion_oracle_matches_r2_counts():
+    # n = 11..14 gives N = n-1 free vertices of both parities, so the middle
+    # join meets the product of the last gathered step's layer (odd N) and
+    # of one more matmul from the middle layer (even N)
+    rng = random.Random(29)
+    cases = [(n, p) for n in range(11, 15) for p in (0.35, 0.5, 0.7, 0.9) for _ in range(2)]
+    for n, p in cases:
+        g = random_hypergraph(n, 2, p, rng)
+        assert inclusion_exclusion_count(g) == 2 * exact_ham_count(g).count, (n, p)
+    assert len(cases) >= 30
+    assert inclusion_exclusion_count(Hypergraph.complete(7, 2)) == math.factorial(6)
+
+
+def test_exact_dot_is_exact_up_to_2_53():
+    # no count at test sizes has entries wide enough to cut both factors
+    # into limbs, so the limb sums are checked here against Python ints
+    rng = np.random.default_rng(6)
+    assert counting._exact_dot(np.zeros(5), np.zeros(5)) == 0
+    for bits_x, bits_y, size in [(26, 22, 70000), (53, 53, 40000), (50, 20, 1000)]:
+        x = rng.integers(0, 2**bits_x, size, dtype=np.int64)
+        y = rng.integers(0, 2**bits_y, size, dtype=np.int64)
+        x[0], y[0] = 2**bits_x - 1, 2**bits_y - 1  # the widest entries
+        want = sum(a * b for a, b in zip(x.tolist(), y.tolist()))
+        assert counting._exact_dot(x.astype(np.float64), y.astype(np.float64)) == want
+
+
+def test_reversal_halves_match_the_dict_dp():
+    # dict_dp_count anchors (0, mid) and counts both directions, so it does
+    # not share the centred prefixes (a, 0, b) of an even r' or the middle
+    # join of r' = 2. (11, 7) counts the complements' 4-graph. With the ten
+    # primes the channels fork at step 5, so r = 2 joins ten channels at
+    # n = 12 (N = 11) and n = 13 (N = 12)
+    rng = random.Random(31)
+    for n, r, p in [(10, 4, 0.5), (11, 4, 0.6), (10, 6, 0.8), (11, 7, 0.5), (12, 2, 0.6),
+                    (13, 2, 0.6)]:
+        g = random_hypergraph(n, r, p, rng)
+        want = dict_dp_count(g)
+        assert want > 0, (n, r)
+        for moduli, workers in itertools.product(((), PRIMES), (1, 2)):
+            assert _dp_count_numpy(g, moduli, workers) == want, (n, r, moduli, workers)
+    assert [len(counting._prefixes(n, r)) for n, r in [(14, 4), (11, 6), (17, 3), (20, 2)]] == \
+        [math.perm(13, 2) // 2, math.perm(10, 4) // 2, 16, 1]
+
+
 def test_relabeling_that_moves_the_anchor_keeps_the_count():
     rng = random.Random(21)
     for n, r in [(12, 2), (11, 3), (10, 4)]:
@@ -161,7 +239,10 @@ def test_channel_boundary():
     # (N-r+1)! = (n-2)! for r=2: 18! < 2^53 < 19!
     assert _dp_moduli(20, 2) == ()
     assert len(_dp_moduli(21, 2)) == 2
-    for n in (20, 21, 23):
+    # N = n-1 from 3 to 22 meets the middle join at both parities; K_23^2
+    # runs its extra matmul, step 11, in float64 (11! > 2^24), and its join
+    # sums pass 2^63
+    for n in range(4, 24):
         assert exact_ham_count(Hypergraph.complete(n, 2)).count == math.factorial(n - 1) // 2
 
 
@@ -179,13 +260,17 @@ def test_moduli_are_coprime_small_and_cover_the_count():
 
 def test_residue_channels_give_exact_ints():
     # a dense G_2(21, p=0.9) whose 2H has no float64 representation, so a
-    # closure or CRT taken in floats rounds it; three moduli near 10^7 fork
-    # the channels early and must give the same int as the production pair
+    # join or CRT taken in floats rounds it. The DP stops at the middle
+    # layer, step 10, so three moduli near 10^7 (11! > 10^7) no longer fork
+    # it and their one exact total serves each modulus; four near 10^5
+    # (9! > 10^5) fork steps 9 and 10 and join four residue channels. Both
+    # must give the same int as the production pair
     g = random_hypergraph(21, 2, 0.9, random.Random(4))
     count = exact_ham_count(g).count
     assert type(count) is int
     assert float(2 * count) != 2 * count
     assert _dp_count_numpy(g, (10**7 + 19, 10**7 + 79, 10**7 + 103)) == 2 * count
+    assert _dp_count_numpy(g, (100003, 100019, 100043, 100049)) == 2 * count
 
 
 def test_memory_estimate_covers_traced_peak():
@@ -199,9 +284,6 @@ def test_memory_estimate_covers_traced_peak():
         finally:
             tracemalloc.stop()
         assert peak <= _estimate_dp_bytes(n, r), (n, r, peak)
-
-
-PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
 
 
 def test_float32_steps_match_the_residue_channels_across_the_cut():

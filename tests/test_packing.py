@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -28,6 +29,7 @@ from hamforge.packing import (
     PackingParams,
     PartitionedFamily,
     build_random_packing,
+    capped_comb,
     family_from_design,
     family_from_packing,
     leftover_edges,
@@ -408,6 +410,23 @@ def test_singleton_family():
     groups = tuple((e,) for e in itertools.combinations(range(6), 3))
     fam = PartitionedFamily(n=6, r=3, k=1, element_groups=(), leftover_groups=groups)
     assert fam.k == 1 and fam.is_complete()
+    fewer = PartitionedFamily(n=6, r=3, k=1, element_groups=(), leftover_groups=groups[1:])
+    assert not fewer.is_complete()
+
+
+def test_is_complete_stops_once_the_binomial_passes_the_edges():
+    # C(10^6, 5*10^5) has about 301,000 digits; computed exactly it took seconds
+    huge = PartitionedFamily(n=10**6, r=5 * 10**5, k=1, element_groups=(), leftover_groups=())
+    start = time.perf_counter()
+    assert not huge.is_complete()
+    assert time.perf_counter() - start < 0.1
+    assert PartitionedFamily(n=2, r=3, k=1, element_groups=(), leftover_groups=()).is_complete()
+    for n in range(12):
+        for r in range(-1, n + 3):
+            for cap in (0, 1, 5, 40, 10**6):
+                got = capped_comb(n, r, cap)
+                want = math.comb(n, r) if r >= 0 else 0
+                assert got == want if want <= cap else got > cap, (n, r, cap)
 
 
 def test_packing_file_round_trip():
