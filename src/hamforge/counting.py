@@ -208,6 +208,11 @@ def _dp_steps(r: int, K: int) -> int:
     return K - 1 if r > 2 else K // 2
 
 
+def _reversal_factor(r: int) -> int:
+    """2 if _prefixes keeps one of each reversed pair for this r', else 1."""
+    return 2 if r > 2 and r % 2 == 0 else 1
+
+
 def _prefixes(n: int, r: int) -> list[tuple[int, ...]]:
     """Anchored prefixes of _dp_count_numpy, with r the r' of _dp_shape.
 
@@ -217,9 +222,11 @@ def _prefixes(n: int, r: int) -> list[tuple[int, ...]]:
     vertices on each side, and only those with a[-1] < b[0]: reversal maps
     (a, 0, b) to (b reversed, 0, a reversed), which swaps the neighbours of
     0, so exactly one direction of each cycle has a kept prefix, and the
-    count doubles its sum. For r = 2 the one prefix (0,) is its own reverse.
-    An odd r cannot centre 0 in its r-1 places, and reversal maps (0, mid)
-    to a prefix that ends at 0, so it keeps both directions.
+    count multiplies its sum by _reversal_factor; there are
+    perm(n-1, r-2) // _reversal_factor(r) of them. For r = 2 the one
+    prefix (0,) is its own reverse. An odd r cannot centre 0 in its r-1
+    places, and reversal maps (0, mid) to a prefix that ends at 0, so it
+    keeps both directions.
     """
     h = (r - 2) // 2 if r % 2 == 0 else 0
     return [mid[:h] + (0,) + mid[h:] for mid in itertools.permutations(range(1, n), r - 2)
@@ -253,7 +260,7 @@ def _dp_workers(n: int, r: int) -> int:
     if _buffer_bytes(r, N, K, ng, moduli) < THREAD_MIN_LAYER_BYTES:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, len(_prefixes(n, r)))
+    return min(cpus or 1, math.perm(n - 1, r - 2) // _reversal_factor(r))
 
 
 def _shape_tables(n: int, r: int) -> tuple:
@@ -493,8 +500,7 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | N
         thread.join()
     if errors := [share for share in shares if isinstance(share, BaseException)]:
         raise errors[0]
-    twice = 2 if r > 2 and r % 2 == 0 else 1  # one of each reversed pair of prefixes ran
-    totals = [twice * sum(channel) for channel in zip(*shares)]
+    totals = [_reversal_factor(r) * sum(channel) for channel in zip(*shares)]
     if not moduli:
         return totals[0]
     big = math.prod(moduli)  # if no step reduced, the one exact total serves every modulus

@@ -3,6 +3,7 @@ import math
 import os
 import random
 import sys
+import time
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -502,6 +503,12 @@ def test_scale_limits(monkeypatch):
     with pytest.raises(ScaleLimit) as err:
         exact_ham_count(Hypergraph.complete(24, 3))
     assert "states" in str(err.value)
+    # far too big for memory: the prefixes are counted, not listed, before the raise
+    for r in (8, 9):
+        start = time.perf_counter()
+        with pytest.raises(ScaleLimit):
+            exact_ham_count(Hypergraph.from_edges(40, r, []))
+        assert time.perf_counter() - start < 1.0
 
 
 def test_expectation_value():
