@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateCycle, InvalidParams, ScaleLimit
-from .hypercore import Hypergraph
+from .hypercore import Hypergraph, capped_comb
 
 DEFAULT_MEM_GIB = 8.0
 BRUTE_FORCE_MAX_N = 10
@@ -34,8 +34,7 @@ MEMINFO = "/proc/meminfo"
 # a count whose largest layer is smaller runs all its prefixes on the calling thread
 THREAD_MIN_LAYER_BYTES = 1 << 19
 
-_kept_shape = None  # ((n, r), tables) of the last r > 2 shape counted; see _shape_tables
-_kept_masks = None  # (nfree, layers) of the last mask table built; see _mask_layers
+_kept_shape = None  # ((n, r), tables) of the last shape counted; see _shape_tables
 
 
 def _default_mem_gib() -> float:
@@ -119,32 +118,21 @@ def brute_force_ham_count(graph: Hypergraph) -> CountResult:
     return CountResult(count=total // 2, method="brute_force")
 
 
-def _mask_layers(nfree: int) -> tuple[np.ndarray, ...]:
-    """Sorted bitmask arrays grouped by popcount, over nfree free slots.
+def _mask_layers(nfree: int, top: int) -> tuple[np.ndarray, ...]:
+    """Sorted bitmask arrays of popcount 0..top, over nfree free slots.
 
     They are in the least unsigned dtype that holds every mask, so the bit
-    tests of _shape_tables read and write the fewest bytes. The last table
-    is kept, read-only, for the next call with the same nfree; a call with
-    another drops it before it builds its own, so the kept table is the one
-    that _estimate_dp_bytes counts for the last count.
+    tests of _shape_tables read and write the fewest bytes.
     """
-    global _kept_masks
-    kept = _kept_masks  # read once: a count in another thread may replace it
-    if kept is not None and kept[0] == nfree:
-        return kept[1]
-    _kept_masks = None
     dtype = np.min_scalar_type((1 << nfree) - 1)
     layers, none = [np.zeros(1, dtype)], np.empty(0, dtype)
     for bit in range(nfree):
         # the sorted masks of popcount k over one more slot: those of
         # popcount k without the new bit, then the larger ones that hold it
-        top = dtype.type(1 << bit)
-        layers = [np.concatenate([low, high + top])
-                  for low, high in zip(layers + [none], [none] + layers)]
-    for layer in layers:
-        layer.setflags(write=False)
-    _kept_masks = (nfree, tuple(layers))
-    return _kept_masks[1]
+        new = dtype.type(1 << bit)
+        layers = [np.concatenate([low, high + new])
+                  for low, high in zip(layers + [none], [none] + layers)][: top + 1]
+    return tuple(layers)
 
 
 def _dp_shape(n: int, r: int) -> tuple[int, int, int, int]:
@@ -167,22 +155,24 @@ def _dp_moduli(n: int, r: int) -> tuple[int, ...]:
 
     With r, N and K from _dp_shape, an entry of P = E @ L at step k counts
     orderings of k+r-1 placed free vertices whose last r-1 are fixed: at
-    most k! <= (K-1)! = (N-r+1)!. L copies P, start weights and E are 0 or
-    1 and nothing is negative, so every partial sum obeys that bound too.
-    So a step is exact in float32 while its k! is below 2^24 and in float64
-    while it is below 2^53 (_step_dtype). Beyond 2^53, from the step whose
-    k! reaches the least modulus on, P is reduced modulo each
-    m <= 2^53 // N, so a matmul sums N entries below m. The moduli are
-    pairwise coprime with a product above (n-1)! >= 2H, the number of
-    anchored vertex orders, so the CRT recovers 2H.
+    most k!. L copies P, start weights and E are 0 or 1 and nothing is
+    negative, so every partial sum obeys that bound too. So a step is exact
+    in float32 while its k! is below 2^24 and in float64 while it is below
+    2^53 (_step_dtype), and the counter needs no moduli while k! of its last
+    step, _dp_steps(r, K), is below 2^53: for r = 2 that holds up to n = 38.
+    Beyond it, from the step whose k! reaches the least modulus on, P is
+    reduced modulo each m <= 2^53 // N, so a matmul sums N entries below m.
+    The moduli are pairwise coprime with a product above (n-1)! >= 2H, the
+    number of anchored vertex orders, so the CRT recovers 2H.
     """
-    r, N, _, _ = _dp_shape(n, r)
-    if math.factorial(N - r + 1) < 2**53:
+    r, N, K, _ = _dp_shape(n, r)
+    if math.factorial(_dp_steps(r, K)) < 2**53:
         return ()
-    moduli, m = [], 2**53 // N
-    while math.prod(moduli) <= math.factorial(n - 1):
-        if math.gcd(m, math.prod(moduli)) == 1:
+    moduli, product, m, bound = [], 1, 2**53 // N, math.factorial(n - 1)
+    while product <= bound:
+        if math.gcd(m, product) == 1:
             moduli.append(m)
+            product *= m
         m -= 1
     return tuple(moduli)
 
@@ -206,6 +196,11 @@ def _dp_steps(r: int, K: int) -> int:
     more matmul for even N.
     """
     return K - 1 if r > 2 else K // 2
+
+
+def _top_layer(r: int, K: int) -> int:
+    """The last U-layer _dp_count_numpy gathers, and the largest popcount of a mask it reads."""
+    return K if r > 2 else (K + 1) // 2
 
 
 def _reversal_factor(r: int) -> int:
@@ -264,17 +259,19 @@ def _dp_workers(n: int, r: int) -> int:
 
 
 def _shape_tables(n: int, r: int) -> tuple:
-    """(G, F, a, indices) of _dp_count_numpy for n vertices, with r the r' of _dp_shape.
+    """(G, F, a, masks, index) of _dp_count_numpy for n vertices, with r the r' of _dp_shape.
 
-    indices[k-1] gives, per free slot t, the index into t's block of P from
-    U-layer k to k+1. A frontier's row of it depends on the slot only through
-    its rank pair (a, b) and its row offset in the block: each distinct pair's
-    template is built once per step and picked by a pair id found once per
-    shape, and the offsets are added in place. For r > 2 all four are
-    read-only and kept for the next count of the same (n, r); one shape is
-    kept, and a count of another shape drops it before it builds its own.
-    For r = 2 each slot's index is its one pair's template, built in intp
-    (so take does not cast it) as the step runs, and nothing is kept.
+    index(k), for each step k that gathers (_top_layer), gives per free
+    slot t the index into t's block of P from U-layer k to k+1; masks are
+    the mask layers those steps read. A frontier's row of the index depends
+    on the slot only through its rank pair (a, b) and its row offset in the
+    block: each distinct pair's template is built once per step and picked
+    by a pair id found once per shape, and the offsets are added in place.
+    For r > 2 index(k) reads arrays built here; for r = 2 it builds each
+    slot's index, its one pair's template, in intp (so take does not cast
+    it) as the step runs. The tables are read-only and kept for the next
+    count of the same (n, r); one shape is kept, and a count of another
+    shape drops it before it builds its own.
     """
     global _kept_shape
     kept = _kept_shape  # read once: a count in another thread may replace it
@@ -282,7 +279,7 @@ def _shape_tables(n: int, r: int) -> tuple:
         return kept[1]
     _kept_shape = None
     _, N, K, ng = _dp_shape(n, r)
-    layers = _mask_layers(K)
+    masks = _mask_layers(K, _top_layer(r, K))
     G = np.array(list(itertools.permutations(range(N), r - 2)), dtype=np.intp).reshape(ng, r - 2)
     gidx = np.zeros(N ** (r - 2), dtype=np.intp)
     gidx[G @ N ** np.arange(r - 3, -1, -1)] = np.arange(ng)
@@ -306,7 +303,7 @@ def _shape_tables(n: int, r: int) -> tuple:
         # keeps mask order, and maps the masks holding t one to one onto the
         # masks lacking v: the j-th of the one reads the j-th of the other;
         # every other mask, and the trailing column, reads the zero column
-        cur, nxt = layers[k], layers[k + 1]
+        cur, nxt = masks[k], masks[k + 1]
         umap = np.full((len(ua), len(nxt) + 1), len(cur), dtype=itype)
         holds = {x: (nxt & 1 << x).astype(bool) for x in set(ua.tolist())}
         lacks = {y: np.flatnonzero((cur & 1 << y) == 0) for y in set(ub.tolist())}
@@ -314,25 +311,24 @@ def _shape_tables(n: int, r: int) -> tuple:
             row[:-1][holds[x]] = lacks[y]
         return umap
 
-    def slot_indices(k):
-        # r = 2: slot t has one frontier (t,), which is valid and has offset 0
-        for t in range(N):
-            yield templates(k, ua[pair_id[t]], ub[pair_id[t]], np.intp)
-
-    if r == 2:
-        return G, F, a, [slot_indices(k) for k in range(1, K)]
-
     def gather_indices(k):
-        width = len(layers[k]) + 1
+        width = len(masks[k]) + 1
         itype = np.uint16 if ng * width <= 1 << 16 else np.int32
         umap = templates(k, ua, ub, itype)[pair_id]
-        umap[~valid] = len(layers[k])
+        umap[~valid] = len(masks[k])
         umap += (rows * width).astype(itype)[..., None]
         return umap
 
-    tables = (G, F, a, [gather_indices(k) for k in range(1, K)])
-    for table in (*tables[:3], *tables[3]):
+    steps = [gather_indices(k) for k in range(1, K)] if r > 2 else []
+
+    def index(k):
+        # r = 2: slot t has one frontier (t,), which is valid and has offset 0
+        return steps[k - 1] if r > 2 else (templates(k, ua[pair_id[t]], ub[pair_id[t]], np.intp)
+                                             for t in range(N))
+
+    for table in (G, F, a, *masks, *steps):
         table.setflags(write=False)
+    tables = (G, F, a, masks, index)
     _kept_shape = ((n, r), tables)
     return tables
 
@@ -415,7 +411,7 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | N
     if r != graph.r:
         everything = set(range(n))
         graph = Hypergraph.from_edges(n, r, [everything.difference(e) for e in graph.edges])
-    G, F, a, indices = _shape_tables(n, r)
+    G, F, a, masks, index = _shape_tables(n, r)
     T = np.zeros((n,) * r, dtype=np.float32)
     edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, r).T
     for perm in itertools.permutations(range(r)):
@@ -426,7 +422,6 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | N
     fork = min(moduli, default=math.inf)
     residues = np.array(moduli, dtype=np.float64)
     dtypes = [_step_dtype(k, moduli) for k in range(1, _dp_steps(r, K) + 1)]
-    gathers = K - 1 if r > 2 else (N + 1) // 2 - 1  # r = 2: up to the middle layer
 
     def flat(buffer, dtype, size):
         return buffer[: size * dtype.itemsize].view(dtype)
@@ -446,7 +441,7 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | N
             L = flat(src, E.dtype, N * ng * (K + 1)).reshape(N, ng, K + 1, 1)
             L.fill(0)
             L[start] = w[: r - 1].prod(0)
-            for k, (slot_indices, dtype) in enumerate(zip(indices, dtypes), 1):
+            for k, dtype in enumerate(dtypes, 1):
                 if L.dtype != dtype:  # the first float64 step copies L and E up
                     up = flat(dst, dtype, L.size).reshape(L.shape)
                     up[...] = L
@@ -458,7 +453,7 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | N
                 P = np.matmul(E, L.transpose(1, 0, 2, 3).reshape(ng, N, -1),
                               out=flat(dst, dtype, L.size).reshape(ng, N, -1)).reshape(N, -1, c)
                 src, dst = dst, src
-                if k > gathers:  # r = 2, even N: the product of the middle layer
+                if k == len(masks) - 1:  # r = 2, even N: the product of the middle layer
                     break
                 if math.factorial(k) >= fork:
                     c = len(moduli)
@@ -466,7 +461,7 @@ def _dp_count_numpy(graph: Hypergraph, moduli: tuple[int, ...], workers: int | N
                     P = np.fmod(P, residues, out=out)
                     src, dst = dst, src
                 L = flat(dst, dtype, N * ng * (math.comb(K, k + 1) + 1) * c).reshape(N, ng, -1, c)
-                for t, idx in enumerate(slot_indices):
+                for t, idx in enumerate(index(k)):
                     P[t].take(idx, axis=0, out=L[t], mode="clip")
                 src, dst = dst, src
             if r == 2:
@@ -526,9 +521,9 @@ def _estimate_dp_bytes(n: int, r: int, workers: int | None = None) -> int:
     that is every layer's gather indices (e_{k+1} uint16s or int32s at
     layer k) and the frontier index arrays, which with their build take 10r
     intp per frontier; T with n^r float32s plus an intp each for its edge
-    lists; the mask table, whose build holds at most two tables of 2^K
-    masks of at most 8 bytes. 64 KiB covers array headers, small Python
-    objects and the threads.
+    lists; the kept masks, of popcount up to _top_layer(r, K), whose
+    build holds at most two such tables of masks of at most 8 bytes. 64 KiB
+    covers array headers, small Python objects and the threads.
     """
     workers = _dp_workers(n, r) if workers is None else workers
     moduli = _dp_moduli(n, r)
@@ -538,8 +533,8 @@ def _estimate_dp_bytes(n: int, r: int, workers: int | None = None) -> int:
                   for k in range(1, K)) if r > 2 else 0
     worker = (2 * _buffer_bytes(r, N, K, ng, moduli) + 48 * e[K // 2] // N + ng * N * N * 28
               + 12 * r * 8 * N * ng)
-    return (workers * worker + indices + n**r * 12 + 10 * r * 8 * N * ng + 2 * 8 * 2**K
-            + (1 << 16))
+    masks = sum(math.comb(K, j) for j in range(_top_layer(r, K) + 1))
+    return workers * worker + indices + n**r * 12 + 10 * r * 8 * N * ng + 16 * masks + (1 << 16)
 
 
 def exact_ham_count(graph: Hypergraph) -> CountResult:
@@ -550,23 +545,25 @@ def exact_ham_count(graph: Hypergraph) -> CountResult:
     (_dp_moduli). It runs on the most workers, up to _dp_workers,
     whose estimate fits the memory budget: min(8 GiB, half of MemAvailable)
     by default, or HAMFORGE_MEM_GIB, which must be a finite number > 0.
-    Raises ScaleLimit with a state-count estimate when one worker does not fit.
+    Raises ScaleLimit with a state-count estimate when one worker does not
+    fit, and at once, before any estimate, moduli or table is built, when T
+    and the widest layer alone, in float32, pass the budget.
     """
     n, r = graph.n, graph.r
     if n < r + 2:
         raise DegenerateCycle(f"need n >= r+2 (got n={n}, r={r})")
     budget = _mem_budget_bytes()
+    rr, N, K, ng = _dp_shape(n, r)
+    if 4 * (n**rr + N * ng * capped_comb(K, K // 2, budget)) > budget:
+        raise ScaleLimit(f"DP needs over {budget >> 20:,} MiB for its edge table, {n}^{rr} float32s, "
+                         f"and widest layer, {N}*P({N},{rr - 2})*C({K},{K // 2}) states")
     workers = _dp_workers(n, r)
     while workers > 1 and _estimate_dp_bytes(n, r, workers) > budget:
         workers -= 1
     need = _estimate_dp_bytes(n, r, workers)
     if need > budget:
-        _, N, K, ng = _dp_shape(n, r)
-        raise ScaleLimit(
-            f"DP needs ~{need / (1 << 30):.2f} GiB "
-            f"(~{N * ng * math.comb(K, K // 2):,} peak states), "
-            f"budget is {budget / (1 << 30):.2f} GiB"
-        )
+        raise ScaleLimit(f"DP needs ~{need >> 20:,} MiB (~{N * ng * math.comb(K, K // 2):,} peak "
+                         f"states), budget is {budget >> 20:,} MiB")
     total = _dp_count_numpy(graph, _dp_moduli(n, r), workers)
     assert total % 2 == 0
     return CountResult(count=total // 2, method="subset_dp")

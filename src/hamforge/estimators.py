@@ -27,8 +27,8 @@ from .errors import (
     InvalidParams,
     ScaleLimit,
 )
-from .hypercore import colex_rank, window_set
-from .packing import MAX_OWNER_RANKS, PartitionedFamily, too_many_r_sets
+from .hypercore import MAX_R_SETS, colex_rank, too_many_r_sets, window_set
+from .packing import PartitionedFamily
 from .randmodels import DensitySpec, build_quasirandom_from_partition
 
 # permutations the Monte Carlo pass classifies per numpy block
@@ -57,7 +57,7 @@ def _owner_index(family: PartitionedFamily) -> tuple[np.ndarray, np.ndarray]:
         return index
     n, r = family.n, family.r
     if too_many_r_sets(n, r):
-        raise ScaleLimit(f"owner table over C({n},{r}) r-sets exceeds {MAX_OWNER_RANKS}")
+        raise ScaleLimit(f"owner table over C({n},{r}) r-sets exceeds {MAX_R_SETS}")
     group = np.full(math.comb(n, r), -1, dtype=np.int32)
     member = np.full(math.comb(n, r), -1, dtype=np.int32)
     for block in family.member_blocks():

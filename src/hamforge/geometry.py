@@ -4,8 +4,9 @@ The system on the projective line over GF(q^s) is the orbit of the subfield
 line GF(q) + {infinity} under fractional-linear maps. The group's generators
 z+1, gz and 1/z are computed once as permutations of the point indices, and
 the orbit is walked on sorted index tuples; the exhaustive validator is the
-ground truth for every constructed design. One scale limit, MAX_TRIPLES on
-C(n,3), bounds both the build (checked before the orbit) and the validator.
+ground truth for every constructed design. The shared cap on r-sets,
+hypercore.MAX_R_SETS, bounds C(n,3) for both the build (checked before the
+orbit) and the validator.
 
 Point indexing: infinity is index 0; field elements (encoded as integers in
 base p from their coefficient vectors) take indices 1..q^s in encoding order.
@@ -27,10 +28,8 @@ from .errors import (
     ParseError,
     ScaleLimit,
 )
-from .hypercore import colex_rank
+from .hypercore import MAX_R_SETS, colex_rank, too_many_r_sets
 
-# exhaustive triple checks and Steiner builds stop above this many triples
-MAX_TRIPLES = 20_000_000
 # triples the validator ranks per numpy block
 TRIPLE_BLOCK = 1 << 20
 
@@ -261,8 +260,8 @@ def build_spherical_steiner(q: int, s: int) -> SteinerSystem:
     if s < 2:
         raise InvalidParams("need s >= 2 (s=1 gives the single-block design)")
     n = q**s + 1
-    if math.comb(n, 3) > MAX_TRIPLES:
-        raise ScaleLimit(f"C({n},3) triples exceed {MAX_TRIPLES}")
+    if too_many_r_sets(n, 3):
+        raise ScaleLimit(f"C({n},3) triples exceed {MAX_R_SETS}")
     p, a = pp
     ctx = FieldCtx(p, a * s)
 
@@ -294,8 +293,8 @@ def verify_steiner(system: SteinerSystem) -> SteinerReport:
     """Exhaustively check block shape, counts, and exact triple coverage."""
     n, q = system.n, system.q
     problems: list[str] = []
-    if math.comb(n, 3) > MAX_TRIPLES:
-        raise ScaleLimit(f"exhaustive triple check over C({n},3) is over budget")
+    if too_many_r_sets(n, 3):
+        raise ScaleLimit(f"exhaustive triple check over C({n},3) triples exceeds {MAX_R_SETS}")
 
     size = q + 1
     malformed = False
@@ -378,6 +377,7 @@ def write_design(system: SteinerSystem, stream: TextIO) -> None:
 
 
 def read_design(stream: TextIO) -> SteinerSystem:
+    """Parse a design file and check that it is a Steiner system (verify_steiner)."""
     header = stream.readline()
     parts = header.split()
     if len(parts) != 4:
@@ -386,6 +386,8 @@ def read_design(stream: TextIO) -> SteinerSystem:
         n, q, s, b = (int(x) for x in parts)
     except ValueError:
         raise ParseError("line 1: non-integer design header") from None
+    if not 2 <= q < n:
+        raise ParseError("line 1: design header out of range (need 2 <= q < n)")
     blocks = []
     for i in range(b):
         line = stream.readline()
@@ -402,4 +404,8 @@ def read_design(stream: TextIO) -> SteinerSystem:
         if tuple(sorted(block)) != block:
             raise ParseError(f"line {i + 2}: points must be sorted ascending")
         blocks.append(block)
-    return SteinerSystem(n=n, q=q, s=s, blocks=tuple(sorted(blocks)))
+    system = SteinerSystem(n=n, q=q, s=s, blocks=tuple(sorted(blocks)))
+    report = verify_steiner(system)
+    if not report.ok:
+        raise ParseError(f"not a Steiner system S(3,{q + 1},{n}): {report.first_problem()}")
+    return system

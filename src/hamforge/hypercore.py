@@ -7,6 +7,7 @@ All types are immutable after construction; every operation here is pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -14,9 +15,36 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DegenerateCycle, InvalidParams, ParseError
+from .errors import DegenerateCycle, InvalidParams, ParseError, ScaleLimit
 
 Edge = tuple[int, ...]
+
+# r-sets of [0, n) past which nothing lists or tables all of them: the
+# complete r-graph, the samplers' universe, a family's owner table (two int32
+# entries per r-set), a packing's leftover list and the Steiner validator
+MAX_R_SETS = 20_000_000
+
+
+def capped_comb(n: int, r: int, cap: int) -> int:
+    """C(n, r) when it is at most cap, else a number above cap.
+
+    The running binomial C(n, i) grows with i up to min(r, n-r), so it
+    stops as soon as it passes cap, within a few dozen steps for a cap that
+    fits in memory, whatever n and r are.
+    """
+    if not 0 <= r <= n:
+        return 0
+    count = 1
+    for i in range(min(r, n - r)):
+        count = count * (n - i) // (i + 1)
+        if count > cap:
+            break
+    return count
+
+
+def too_many_r_sets(n: int, r: int) -> bool:
+    """Whether C(n, r) exceeds MAX_R_SETS."""
+    return capped_comb(n, r, MAX_R_SETS) > MAX_R_SETS
 
 
 def _normalize_edge(edge: Iterable[int], n: int, r: int) -> Edge:
@@ -51,8 +79,8 @@ class Hypergraph:
 
     @classmethod
     def complete(cls, n: int, r: int) -> "Hypergraph":
-        import itertools
-
+        if too_many_r_sets(n, r):
+            raise ScaleLimit(f"K_{n}^{r} has C({n},{r}) edges, more than {MAX_R_SETS}")
         return cls(n=n, r=r, edges=frozenset(itertools.combinations(range(n), r)))
 
     @classmethod

@@ -38,12 +38,7 @@ from .errors import (
     ScaleLimit,
 )
 from .geometry import SteinerSystem
-from .hypercore import Edge
-
-
-# r-sets past which a family's owner table, or a packing's leftover list, is
-# refused: the table holds two int32 entries per r-set of the family's vertices
-MAX_OWNER_RANKS = 20_000_000
+from .hypercore import MAX_R_SETS, Edge, capped_comb, too_many_r_sets
 
 
 @dataclass(frozen=True)
@@ -308,34 +303,12 @@ def build_random_packing(
     )
 
 
-def capped_comb(n: int, r: int, cap: int) -> int:
-    """C(n, r) when it is at most cap, else a number above cap.
-
-    The running binomial C(n, i) grows with i up to min(r, n-r), so it
-    stops as soon as it passes cap, within a few dozen steps for a cap that
-    fits in memory, whatever n and r are.
-    """
-    if not 0 <= r <= n:
-        return 0
-    count = 1
-    for i in range(min(r, n - r)):
-        count = count * (n - i) // (i + 1)
-        if count > cap:
-            break
-    return count
-
-
-def too_many_r_sets(n: int, r: int) -> bool:
-    """Whether C(n, r) exceeds MAX_OWNER_RANKS."""
-    return capped_comb(n, r, MAX_OWNER_RANKS) > MAX_OWNER_RANKS
-
-
 def leftover_edges(packing: Packing, k: int | None = None) -> list[Edge]:
     """Edges of the complete r-graph not covered by any element, sorted."""
     n, r = packing.n, packing.r
     if too_many_r_sets(n, r):
         raise ScaleLimit(f"listing the leftover edges means enumerating C({n},{r}) r-sets, "
-                         f"more than {MAX_OWNER_RANKS}")
+                         f"more than {MAX_R_SETS}")
     covered = packing.covered_edges()
     out = [e for e in itertools.combinations(range(n), r) if e not in covered]
     if k is not None and len(out) % k:

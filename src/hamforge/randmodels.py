@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConstructionBug, InvalidParams
-from .hypercore import Hypergraph
+from .errors import ConstructionBug, InvalidParams, ScaleLimit
+from .hypercore import MAX_R_SETS, Hypergraph, too_many_r_sets
 from .packing import PartitionedFamily
 
 
@@ -57,12 +57,16 @@ def sample_gnp(n: int, r: int, p: float, rng: Random) -> Hypergraph:
     """Each r-set included independently with probability p."""
     if not 0 <= p <= 1:
         raise InvalidParams(f"p must be in [0,1], got {p}")
+    if too_many_r_sets(n, r):
+        raise ScaleLimit(f"sampling lists all C({n},{r}) r-sets, more than {MAX_R_SETS}")
     edges = [e for e in itertools.combinations(range(n), r) if rng.random() < p]
     return Hypergraph.from_edges(n, r, edges)
 
 
 def sample_gnm(n: int, r: int, m: int, rng: Random) -> Hypergraph:
     """Uniform r-graph with exactly m edges."""
+    if too_many_r_sets(n, r):
+        raise ScaleLimit(f"sampling lists all C({n},{r}) r-sets, more than {MAX_R_SETS}")
     universe = list(itertools.combinations(range(n), r))
     if not 0 <= m <= len(universe):
         raise InvalidParams(f"m must be in [0, C(n,r)] = [0, {len(universe)}], got {m}")

@@ -1,10 +1,14 @@
+import io
 import json
 import multiprocessing
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hamforge.cli import main
+from hamforge.geometry import build_spherical_steiner, write_design
 
 
 def run(argv):
@@ -369,6 +373,117 @@ def test_steiner_scale_limit_exits_2_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 0.5
     err = capsys.readouterr().err
     assert err.startswith("ScaleLimit: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("header", ["1500 3 0", "1100 2 0", "3000 3 0", "100000 3 0"])
+def test_oversized_count_exits_2_at_once(tmp_path, capsys, header):
+    # an empty r-graph whose edge table or widest layer alone is past any
+    # budget stops before the moduli, the estimate or any table is built
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"{header}\n")
+    start = time.perf_counter()
+    assert run(["count", "--in", graph]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("ScaleLimit: ") and err.count("\n") == 1
+
+
+def test_construct_past_the_r_set_cap_exits_2_at_once(tmp_path, capsys):
+    # C(3000, 3) is about 4.5e9 triples
+    out = tmp_path / "g.txt"
+    start = time.perf_counter()
+    assert run(["construct", "--kind", "complete", "--n", 3000, "--r", 3, "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("ScaleLimit: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, problem", [
+    ("drop", "block count 83 != C(n,3)/C(q+1,3) = 84"), ("repeat", "duplicate blocks present"),
+])
+def test_design_that_is_not_a_steiner_system_exits_2(tmp_path, capsys, edit, problem):
+    design = tmp_path / "d.txt"
+    run(["steiner", "--q", 2, "--s", 3, "--out", design])
+    header, *blocks = design.read_text().splitlines()
+    blocks = blocks[1:] if edit == "drop" else blocks[:1] + blocks
+    design.write_text("\n".join([header.rsplit(" ", 1)[0] + f" {len(blocks)}", *blocks]) + "\n")
+    assert run(["family", "--design", design, "--k", 1, "--seed", 1,
+                "--out", tmp_path / "f.json"]) == 2
+    assert capsys.readouterr().err == f"ParseError: not a Steiner system S(3,3,9): {problem}\n"
+
+
+def _exits_0_or_2(argv, capsys):
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2) and "Traceback" not in err and "ConstructionBug" not in err, (code, err)
+    assert code == 0 or err.count("\n") == 1, err
+
+
+# the fixtures hold no state across examples: each example rewrites its file
+_FUZZ = settings(max_examples=500, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(n=st.integers(0, 40) | st.integers(0, 10**6), r=st.integers(2, 8),
+       m=st.integers(0, 2) | st.integers(0, 10**9))
+def test_hypergraph_headers_count_or_exit_2(tmp_path, capsys, monkeypatch, n, r, m):
+    # any header gives a count or one typed error line; with a 1 MiB budget
+    # the largest DP that runs takes a few ms
+    monkeypatch.setenv("HAMFORGE_MEM_GIB", "0.001")
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"{n} {r} {m}\n")
+    _exits_0_or_2(["count", "--in", graph], capsys)
+
+
+def _design_lines(q, s):
+    buf = io.StringIO()
+    write_design(build_spherical_steiner(q, s), buf)
+    return buf.getvalue().splitlines()
+
+
+_DESIGNS = [_design_lines(2, 2), _design_lines(3, 2)]  # S(3,3,5) and S(3,4,10)
+_point = st.integers(-2, 12).map(str) | st.sampled_from(["100000", str(2**64), "x", "1.5", ""])
+_design_line = st.lists(_point, max_size=5).map(" ".join)
+
+
+@st.composite
+def _design_texts(draw):
+    """A design file: free lines, or a valid one with lines replaced,
+    dropped, repeated or cut off, and its block count kept or fixed up."""
+    if draw(st.booleans()):
+        return "\n".join(draw(st.lists(_design_line, max_size=8)))
+    lines = list(draw(st.sampled_from(_DESIGNS)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(1, len(lines) - 1))
+        edit = draw(st.sampled_from(["replace", "drop", "repeat", "cut", "point"]))
+        if edit == "replace":
+            lines[i] = draw(_design_line)
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "cut":
+            lines = lines[:i]
+        else:  # one point out of range, or moved within it
+            points = lines[i].split() or ["0"]
+            points[draw(st.integers(0, len(points) - 1))] = draw(st.integers(-1, 10).map(str))
+            lines[i] = " ".join(points)
+        if len(lines) < 2:
+            break
+    if draw(st.booleans()):  # a block count that matches the lines
+        lines[0] = lines[0].rsplit(" ", 1)[0] + f" {len(lines) - 1}"
+    return "\n".join(lines) + "\n"
+
+
+@_FUZZ
+@given(text=_design_texts(), k=st.sampled_from([1, 2]))
+def test_design_files_give_a_family_or_exit_2(tmp_path, capsys, text, k):
+    design = tmp_path / "d.txt"
+    design.write_text(text)
+    _exits_0_or_2(["family", "--design", design, "--k", k, "--seed", 1,
+                   "--out", tmp_path / "f.json"], capsys)
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--builds", "--runs", "--retries"])

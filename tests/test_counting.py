@@ -237,9 +237,14 @@ def test_relabeling_that_moves_the_anchor_keeps_the_count():
 
 
 def test_channel_boundary():
-    # (N-r+1)! = (n-2)! for r=2: 18! < 2^53 < 19!
-    assert _dp_moduli(20, 2) == ()
-    assert len(_dp_moduli(21, 2)) == 2
+    # r = 2 stops at step N // 2, and 18! < 2^53 < 19!, so it forks no
+    # channel below n = 39; r = 3 runs step N - 2 and forks from n = 23
+    assert all(_dp_moduli(n, 2) == () for n in range(4, 39))
+    assert _dp_moduli(22, 3) == ()
+    for n, r in [(39, 2), (23, 3)]:
+        moduli = _dp_moduli(n, r)
+        assert moduli and math.prod(moduli) > math.factorial(n - 1)
+        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
     # N = n-1 from 3 to 22 meets the middle join at both parities; K_23^2
     # runs its extra matmul, step 11, in float64 (11! > 2^24), and its join
     # sums pass 2^63
@@ -251,8 +256,8 @@ def test_moduli_are_coprime_small_and_cover_the_count():
     for r in range(2, 7):
         for n in range(r + 2, 41):
             moduli = _dp_moduli(n, r)
-            rr, N, _, _ = _dp_shape(n, r)
-            assert (moduli == ()) == (math.factorial(N - rr + 1) < 2**53), (n, r)
+            rr, N, K, _ = _dp_shape(n, r)
+            assert (moduli == ()) == (math.factorial(counting._dp_steps(rr, K)) < 2**53), (n, r)
             if moduli:
                 assert all(2 <= m <= 2**53 // N for m in moduli)
                 assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
@@ -265,7 +270,7 @@ def test_residue_channels_give_exact_ints():
     # layer, step 10, so three moduli near 10^7 (11! > 10^7) no longer fork
     # it and their one exact total serves each modulus; four near 10^5
     # (9! > 10^5) fork steps 9 and 10 and join four residue channels. Both
-    # must give the same int as the production pair
+    # must give the same int as the production count, which needs no moduli
     g = random_hypergraph(21, 2, 0.9, random.Random(4))
     count = exact_ham_count(g).count
     assert type(count) is int
@@ -275,7 +280,7 @@ def test_residue_channels_give_exact_ints():
 
 
 def test_memory_estimate_covers_traced_peak():
-    # K_21^2 runs its last steps in two channels
+    # K_21^2 is the widest r = 2 count here; it stops at its middle layer
     for n, r in [(12, 2), (9, 3), (10, 3), (9, 4), (16, 2), (13, 3), (12, 4), (21, 2)]:
         g = Hypergraph.complete(n, r)
         tracemalloc.start()
@@ -307,11 +312,18 @@ def test_float32_steps_match_the_residue_channels_across_the_cut():
 
 
 def test_only_the_last_mask_table_is_kept(monkeypatch):
-    # a table kept past its count is counted by no later estimate: K = 19
-    # holds 2 MiB
+    # a table kept past its count is counted by no later estimate. K = 19
+    # stops at the middle, so it keeps the masks of popcount 0..10 only:
+    # 2^18 + C(19, 10) uint32s, 1.35 MiB of the 2 MiB of all 2^19
     monkeypatch.setattr(counting, "_kept_shape", None)
     assert exact_ham_count(Hypergraph.complete(20, 2)).count == math.factorial(19) // 2
-    table = weakref.ref(counting._mask_layers(19)[9])
+    shape, masks = counting._kept_shape[0], counting._kept_shape[1][3]
+    assert shape == (20, 2) and len(masks) == 11
+    assert all(np.array_equal(np.bitwise_count(layer), np.full(len(layer), j))
+               for j, layer in enumerate(masks))
+    assert sum(layer.nbytes for layer in masks) == 4 * (2**18 + math.comb(19, 10))
+    table = weakref.ref(masks[10])
+    del masks
     assert exact_ham_count(Hypergraph.complete(9, 3)).count == math.factorial(8) // 2
     assert table() is None
 
@@ -376,12 +388,14 @@ def test_kept_shape_tables_follow_the_last_shape(monkeypatch):
     c = random_hypergraph(12, 2, 0.5, rng)
     want = {g: dict_dp_count(g) // 2 for g in (a1, a2, b, c)}
     monkeypatch.setattr(counting, "_kept_shape", None)
-    for g, kept in [(a1, (11, 3)), (b, (10, 4)), (a2, (11, 3)), (a1, (11, 3)), (c, None)]:
+    for g, kept in [(a1, (11, 3)), (b, (10, 4)), (a2, (11, 3)), (a1, (11, 3)), (c, (12, 2))]:
         assert exact_ham_count(g).count == want[g]
-        assert (counting._kept_shape and counting._kept_shape[0]) == kept
-        if kept:
-            G, F, a, indices = counting._kept_shape[1]
-            assert not any(t.flags.writeable for t in (G, F, a, *indices))
+        assert counting._kept_shape[0] == kept
+        G, F, a, masks, index = counting._kept_shape[1]
+        K = _dp_shape(*kept)[2]
+        # r = 2 builds its slot indices as each step runs, and keeps none
+        steps = [index(k) for k in range(1, K)] if g.r > 2 else []
+        assert not any(t.flags.writeable for t in (G, F, a, *masks, *steps))
     # counts of two shapes on four threads replace the kept shape under each other
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -437,11 +451,12 @@ def test_shape_tables_match_the_reference(monkeypatch, n, r):
     r = _dp_shape(n, r)[0]
     _, N, K, ng = _dp_shape(n, r)
     monkeypatch.setattr(counting, "_kept_shape", None)
-    got = counting._shape_tables(n, r)[3]
+    index = counting._shape_tables(n, r)[4]
     want = reference_gather_indices(n, r)
-    assert len(got) == len(want) == max(K - 1, 0)
-    for k, (step, ref) in enumerate(zip(got, want), 1):
-        step = step if r > 2 else np.stack(list(step))
+    assert len(want) == max(K - 1, 0)
+    # r = 2 stops at the middle, so its steps past the last gather never run
+    for k, ref in enumerate(want[: counting._top_layer(r, K) - 1], 1):
+        step = np.stack(list(index(k)))
         width = math.comb(K, k) + 1
         assert step.dtype == (np.intp if r == 2 else np.uint16 if ng * width <= 1 << 16 else np.int32)
         assert np.array_equal(step, ref), (n, r, k)

@@ -2,11 +2,12 @@ import io
 import math
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
 
-from hamforge.errors import DegenerateCycle, ParseError
+from hamforge.errors import DegenerateCycle, ParseError, ScaleLimit
 from hamforge.hypercore import (
     CanonicalCycle,
     Hypergraph,
@@ -14,9 +15,11 @@ from hamforge.hypercore import (
     colex_rank,
     read_hypergraph,
     symmetry_images,
+    too_many_r_sets,
     window_set,
     write_hypergraph,
 )
+from hamforge.randmodels import sample_gnm, sample_gnp
 
 
 @pytest.mark.parametrize("n,r", [(7, 3), (9, 4), (6, 2), (5, 5)])
@@ -107,6 +110,18 @@ def test_canonicalize_exhaustive_classes(n):
 def test_density_complete():
     assert Hypergraph.complete(7, 3).density() == 1.0
     assert Hypergraph.empty(7, 3).density() == 0.0
+
+
+def test_r_set_cap_is_checked_before_anything_is_listed():
+    # C(494, 3) = 19,970,444 and C(495, 3) = 20,092,215 straddle the cap
+    assert not too_many_r_sets(494, 3) and too_many_r_sets(495, 3)
+    start = time.perf_counter()
+    for make in (lambda: Hypergraph.complete(3000, 3), lambda: Hypergraph.complete(10**6, 2),
+                 lambda: sample_gnm(3000, 3, 10, random.Random(0)),
+                 lambda: sample_gnp(10**6, 5 * 10**5, 0.5, random.Random(0))):
+        with pytest.raises(ScaleLimit):
+            make()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_read_single_edge():

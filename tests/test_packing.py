@@ -23,13 +23,13 @@ from hamforge.errors import (
 )
 from hamforge.estimators import mc_fbar_and_bound
 from hamforge.geometry import build_spherical_steiner
+from hamforge.hypercore import capped_comb
 from hamforge.packing import (
     FamilyElement,
     Packing,
     PackingParams,
     PartitionedFamily,
     build_random_packing,
-    capped_comb,
     family_from_design,
     family_from_packing,
     leftover_edges,
@@ -494,7 +494,7 @@ def test_packing_reader_raises_only_typed_errors(text):
 ])
 def test_packing_header_no_packing_has_is_refused(header, error):
     # the leftover block is listed only after a header some packing can have,
-    # and over at most MAX_OWNER_RANKS r-sets
+    # and over at most MAX_R_SETS r-sets
     with pytest.raises(error):
         read_packing(io.StringIO(f"{header}\nW 0\n"))
 
