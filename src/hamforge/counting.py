@@ -553,6 +553,11 @@ def exact_ham_count(graph: Hypergraph) -> CountResult:
     if n < r + 2:
         raise DegenerateCycle(f"need n >= r+2 (got n={n}, r={r})")
     budget = _mem_budget_bytes()
+    # T holds n^r' >= n^m float32s; checked by bit lengths, before any power or perm is formed
+    m = min(r, n - r)
+    if 2 + m * (n.bit_length() - 1) >= budget.bit_length():
+        raise ScaleLimit(f"DP needs over {budget >> 20:,} MiB for its edge table, "
+                         f"at least {n}^{m} float32s")
     rr, N, K, ng = _dp_shape(n, r)
     if 4 * (n**rr + N * ng * capped_comb(K, K // 2, budget)) > budget:
         raise ScaleLimit(f"DP needs over {budget >> 20:,} MiB for its edge table, {n}^{rr} float32s, "

@@ -5,13 +5,14 @@ of group-choice builds.
 
 A permutation is good when no group of the family holds two of its windows
 in distinct members; f counts the groups its windows touch, g counts cyclic
-consecutive window pairs landing inside one family element. All probability
-products are carried in log2.
+consecutive window pairs landing inside one family element. Each window is
+located by one gather from the family's owner table, which gives its member
+id; the group is that id divided by k. All probability products are carried
+in log2.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from random import Random
@@ -25,9 +26,8 @@ from .errors import (
     FamilyKindMismatch,
     InsufficientGoodSamples,
     InvalidParams,
-    ScaleLimit,
 )
-from .hypercore import MAX_R_SETS, colex_rank, too_many_r_sets, window_set
+from .hypercore import colex_rank, window_set
 from .packing import PartitionedFamily
 from .randmodels import DensitySpec, build_quasirandom_from_partition
 
@@ -47,35 +47,10 @@ class Classification:
         return self.verdict == "good"
 
 
-def _owner_index(family: PartitionedFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Owner group and member of every r-set by colex rank, -1 where no group
-    owns it; two int32 arrays of C(n, r) entries, built once per family."""
-    # stash on the instance: the family is frozen, and rebuilding per call
-    # would cost more than the classification itself
-    index = family.__dict__.get("_owner_index")
-    if index is not None:
-        return index
-    n, r = family.n, family.r
-    if too_many_r_sets(n, r):
-        raise ScaleLimit(f"owner table over C({n},{r}) r-sets exceeds {MAX_R_SETS}")
-    group = np.full(math.comb(n, r), -1, dtype=np.int32)
-    member = np.full(math.comb(n, r), -1, dtype=np.int32)
-    for block in family.member_blocks():
-        counts = [len(es) for *_, es in block]
-        rows = np.fromiter(itertools.chain.from_iterable(e for *_, es in block for e in es),
-                           dtype=np.intp, count=r * sum(counts)).reshape(-1, r)
-        ranks = colex_rank(rows.T, n)
-        group[ranks] = np.repeat([gi for gi, *_ in block], counts)
-        member[ranks] = np.repeat([mi for _, mi, *_ in block], counts)
-    index = family.__dict__["_owner_index"] = (group, member)
-    return index
-
-
-def _window_owners(perms: np.ndarray, family: PartitionedFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Owner group and member of every window of each row of a (b, n) array
-    of permutations; FamilyIncomplete names the first unlocatable window in
-    row order."""
-    group, member = _owner_index(family)
+def _window_owners(perms: np.ndarray, family: PartitionedFamily) -> np.ndarray:
+    """Owner member id, group * k + member, of every window of each row of a
+    (b, n) array of permutations; FamilyIncomplete names the first
+    unlocatable window in row order."""
     n, r = family.n, family.r
     doubled = np.concatenate([perms, perms[:, : r - 1]], axis=1)
     # column i holds entry i of every window; r rounds of an odd-even
@@ -85,14 +60,13 @@ def _window_owners(perms: np.ndarray, family: PartitionedFamily) -> tuple[np.nda
         for i in range(rnd % 2, r - 1, 2):
             lo, hi = cols[i], cols[i + 1]
             cols[i], cols[i + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
-    ranks = colex_rank(cols, n)
-    gs = group[ranks]
-    missing = np.flatnonzero(gs < 0)
+    ids = family.owner[colex_rank(cols, n)]
+    missing = np.flatnonzero(ids < 0)
     if missing.size:
         row, pos = divmod(int(missing[0]), n)
         w = tuple(int(c[row, pos]) for c in cols)
         raise FamilyIncomplete(f"window {w} is not locatable in the family")
-    return gs, member[ranks]
+    return ids
 
 
 def classify(pi, family: PartitionedFamily) -> Classification:
@@ -102,8 +76,8 @@ def classify(pi, family: PartitionedFamily) -> Classification:
     if len(order) != family.n:
         raise InvalidParams(f"permutation has {len(order)} entries, the family has n = {family.n}")
     windows = window_set(order, family.r).windows
-    gs, ms = _window_owners(np.array([order], dtype=np.intp), family)
-    owners = list(zip(gs[0].tolist(), ms[0].tolist()))
+    ids = _window_owners(np.array([order], dtype=np.intp), family)
+    owners = [divmod(i, family.k) for i in ids[0].tolist()]
 
     witness = None
     first: dict[int, tuple[int, tuple]] = {}  # group -> (member, first window)
@@ -128,14 +102,14 @@ def classify(pi, family: PartitionedFamily) -> Classification:
 def _block_stats(perms: np.ndarray, family: PartitionedFamily):
     """bad, f and g of each row of a (b, n) array of permutations, as
     `classify` computes them for one permutation."""
-    gs, ms = _window_owners(perms, family)
-    g = ((gs == np.roll(gs, -1, axis=1)) & (ms == np.roll(ms, -1, axis=1))).sum(axis=1)
-    # one sort by (group, member) per row: a group boundary counts toward f,
+    ids = _window_owners(perms, family)
+    g = (ids == np.roll(ids, -1, axis=1)).sum(axis=1)
+    # one sort of the member ids per row: a group boundary counts toward f,
     # a member change inside a group makes the row bad
-    keys = np.sort((gs.astype(np.int64) << 32) | ms, axis=1)
-    new_group = (keys[:, 1:] >> 32) != (keys[:, :-1] >> 32)
+    ids.sort(axis=1)
+    new_group = np.diff(ids // family.k, axis=1) != 0
     f = new_group.sum(axis=1) + 1
-    bad = ((keys[:, 1:] != keys[:, :-1]) & ~new_group).any(axis=1)
+    bad = ((np.diff(ids, axis=1) != 0) & ~new_group).any(axis=1)
     return bad, f, g
 
 

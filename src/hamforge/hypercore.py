@@ -20,8 +20,8 @@ from .errors import DegenerateCycle, InvalidParams, ParseError, ScaleLimit
 Edge = tuple[int, ...]
 
 # r-sets of [0, n) past which nothing lists or tables all of them: the
-# complete r-graph, the samplers' universe, a family's owner table (two int32
-# entries per r-set), a packing's leftover list and the Steiner validator
+# complete r-graph, the samplers' universe, a family's owner table (one int32
+# entry per r-set), a packing's leftover list and the Steiner validator
 MAX_R_SETS = 20_000_000
 
 
@@ -102,11 +102,19 @@ class Hypergraph:
 
 
 @lru_cache(maxsize=None)
-def _colex_binomials(n: int, r: int) -> np.ndarray:
-    """table[i, v] = C(v, i+1) for i < r and v < n."""
-    table = np.array([[math.comb(v, i + 1) for v in range(n)] for i in range(r)], dtype=np.int64)
-    table.setflags(write=False)
-    return table
+def _colex_binomials(n: int, r: int) -> tuple[np.ndarray, ...]:
+    """Row i maps v to C(v, i+1) for each v that column i of a sorted r-set
+    over [0, n) holds, i <= v <= n-r+i. The rows are views, row i from entry
+    i(n-r) on, into one flat (r, n-r+1) table of C(i+j, i+1), each row the
+    running sum of the one before, so every entry is below C(n, r)."""
+    width = max(n - r + 1, 0)
+    table = np.empty((r, width), dtype=np.int64)
+    table[0] = np.arange(width)
+    for i in range(1, r):
+        np.cumsum(table[i - 1], out=table[i])
+    flat = table.ravel()
+    flat.setflags(write=False)
+    return tuple(flat[i * (n - r) : i * (n - r) + width + i] for i in range(r))
 
 
 def colex_rank(columns, n: int) -> np.ndarray:
@@ -118,9 +126,9 @@ def colex_rank(columns, n: int) -> np.ndarray:
     [0, C(n, r)). The sum adds one 1-D gather per column in place.
     """
     columns = [np.asarray(c, dtype=np.intp) for c in columns]
-    table = _colex_binomials(n, len(columns))
-    ranks = table[0][columns[0]]
-    for row, col in zip(table[1:], columns[1:]):
+    rows = _colex_binomials(n, len(columns))
+    ranks = rows[0][columns[0]]
+    for row, col in zip(rows[1:], columns[1:]):
         ranks += row[col]
     return ranks
 

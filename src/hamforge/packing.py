@@ -12,6 +12,9 @@ the final min-degree property.
 The partitioner sees each item only through its vertex set: two items
 conflict when their vertex sets meet. Its effort is fixed by the module
 constants SWAP_BUDGET and RESTARTS; only the shuffle stream is a parameter.
+
+A partitioned family is checked when it is made, in one pass that also enters
+each edge's member in its owner table, so a repeated edge is a rank owned twice.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -38,7 +41,7 @@ from .errors import (
     ScaleLimit,
 )
 from .geometry import SteinerSystem
-from .hypercore import MAX_R_SETS, Edge, capped_comb, too_many_r_sets
+from .hypercore import MAX_R_SETS, Edge, colex_rank, too_many_r_sets
 
 
 @dataclass(frozen=True)
@@ -453,39 +456,59 @@ def partition_into_disjoint_groups(
 # partitioned families
 # ---------------------------------------------------------------------------
 
-def _edge_outside_member(block: list, listed: list[Edge], rows: np.ndarray) -> str | None:
-    """The message for the first edge of a block of members that leaves its
-    member's vertices, None when every edge lies inside its member.
+def _enter_block(block: list, owner: np.ndarray, n: int, r: int, k: int) -> None:
+    """Check a block of whole groups, given as (group, member, vertices,
+    edges) per member, and enter each edge's member id, group * k + member,
+    in `owner` at its colex rank.
 
-    An edge lies inside its member when each of its (member, vertex) keys
-    member * span + vertex is among the member's own, looked up column by
-    column in the sorted keys; a last key above all others keeps every lookup
-    in range. Where the block's keys overflow int64 the caller's check over
-    the whole family raises ScaleLimit, so None is returned.
+    The edges are checked in bulk and scanned one by one only to name a bad
+    one: a Python test per edge would cost more than the member loop on an
+    S(3,4,82) family. An edge lies inside its member when each of its keys
+    member * n + vertex is among the member's own, and it is listed twice
+    when its rank is owned already, by an earlier block or in this one.
     """
-    span = 1 + max(int(rows.max()), max((max(vs, default=0) for _, _, vs, _ in block), default=0))
-    if len(block) * span > np.iinfo(np.int64).max:
-        return None
-    base = np.arange(len(block) + 1, dtype=np.int64) * span
-    own = np.repeat(base[:-1], [len(vs) for _, _, vs, _ in block])
+    bad = [x for _, _, vs, _ in block for x in vs if type(x) is not int or not 0 <= x < n]
+    if bad:
+        raise InvalidParams(f"a member has the vertex {bad[0]!r}, outside [0,{n})")
+    listed = [e for *_, es in block for e in es]
+    if not listed:
+        return
+    flat = np.array(list(itertools.chain.from_iterable(listed)))
+    rows = flat.reshape(-1, r) if flat.dtype.kind == "i" and set(map(len, listed)) == {r} else None
+    if (rows is None or rows[:, 0].min() < 0 or rows[:, -1].max() >= n
+            or (rows[:, 1:] <= rows[:, :-1]).any()
+            # numpy reads a bool as 0 or 1, so only an edge holding 0 or 1 can hide one
+            or any(type(x) is bool for i in np.flatnonzero(rows[:, 0] <= 1).tolist()
+                   for x in listed[i])):
+        e = next(e for e in listed if not (len(e) == r and all(type(x) is int and 0 <= x < n for x in e)
+                                           and all(map(operator.lt, e, e[1:]))))
+        raise InvalidParams(f"edge {e} is not an increasing {r}-tuple of vertices in [0,{n})")
+    at = np.repeat(np.arange(len(block)), [len(es) for *_, es in block])  # each edge's member
+    own = np.repeat(np.arange(len(block)) * n, [len(vs) for _, _, vs, _ in block])
     own += np.fromiter(itertools.chain.from_iterable(vs for _, _, vs, _ in block),
-                       dtype=np.int64, count=len(own))
-    own = np.sort(np.concatenate([own, base[-1:]]))
-    edge_counts = [len(es) for *_, es in block]
-    edge_base = np.repeat(base[:-1], edge_counts)
+                       dtype=np.intp, count=len(own))
+    # sorted, with a last key above all others to keep each lookup in range
+    own = np.sort(np.append(own, len(block) * n))
     inside = np.ones(len(listed), dtype=bool)
     for col in rows.T:
-        keys = edge_base + col
+        keys = at * n + col
         inside &= own[np.searchsorted(own, keys)] == keys
-    if inside.all():
-        return None
-    i = int(np.argmin(inside))
-    gi, a, _, _ = block[int(np.searchsorted(np.cumsum(edge_counts), i, side="right"))]
-    return f"edge {listed[i]} of group {gi} member {a} leaves its vertices"
+    if not inside.all():
+        i = int(np.argmin(inside))
+        gi, a, _, _ = block[at[i]]
+        raise InvalidParams(f"edge {listed[i]} of group {gi} member {a} leaves its vertices")
+    ranks = colex_rank(rows.T, n)
+    taken = owner[ranks] >= 0
+    ordered = np.sort(ranks)
+    if taken.any() or (ordered[1:] == ordered[:-1]).any():
+        seen: set = set()
+        e = next(e for e, t in zip(listed, taken.tolist()) if t or e in seen or seen.add(e))
+        raise InvalidParams(f"edge {e} appears twice in the family")
+    owner[ranks] = np.array([gi * k + a for gi, a, _, _ in block], dtype=np.int32)[at]
 
 
-# whole groups are walked in blocks of at least this many edges wherever a
-# family's edges are converted to arrays, so no temporary grows with the family
+# whole groups are checked and entered in blocks of at least this many edges,
+# so no temporary grows with the family
 EDGE_BLOCK = 1 << 13
 
 
@@ -508,6 +531,9 @@ class PartitionedFamily:
     A family is checked when it is made, so every reader may rely on it: each
     group has k members with pairwise disjoint vertices in [0, n), and each
     edge is an increasing r-tuple inside its member, listed once in the family.
+    The same pass fills `owner`, a read-only int32 array over the C(n, r)
+    r-sets by colex rank: gi * k + a where member a of group gi holds the
+    r-set, else -1. C(n, r) past MAX_R_SETS is a ScaleLimit.
     """
 
     n: int
@@ -516,103 +542,42 @@ class PartitionedFamily:
     element_groups: tuple[tuple[FamilyElement, ...], ...]
     leftover_groups: tuple[tuple[Edge, ...], ...]
     steiner_q: int | None = None
+    owner: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n, r = self.n, self.r
-        if n < 0 or r < 2 or self.k < 1:
-            raise InvalidParams(f"need n >= 0, r >= 2 and k >= 1, got n={n}, r={r}, k={self.k}")
-        placed: set = set()
-        members = edges = listed_vertices = 0
-        distinct = 0  # distinct vertices summed over the groups
+        n, r, k = self.n, self.r, self.k
+        if n < 0 or r < 2 or k < 1:
+            raise InvalidParams(f"need n >= 0, r >= 2 and k >= 1, got n={n}, r={r}, k={k}")
+        if too_many_r_sets(n, r):
+            raise ScaleLimit(f"owner table over C({n},{r}) r-sets exceeds {MAX_R_SETS}")
+        owner = np.full(math.comb(n, r), -1, dtype=np.int32)
+        block, size = [], 0
         for gi, grp in enumerate(self.groups()):
-            if len(grp) != self.k:
-                raise InvalidParams(f"group {gi} has {len(grp)} members, expected {self.k}")
+            if len(grp) != k:
+                raise InvalidParams(f"group {gi} has {len(grp)} members, expected {k}")
             used: set[int] = set()
+            listed = 0
             for a, (vertices, es) in enumerate(grp):
                 if not used.isdisjoint(vertices):
                     raise InvalidParams(f"group {gi} member {a} shares a vertex with another member")
                 used.update(vertices)
-                listed_vertices += len(vertices)
-                edges += len(es)
-            members += len(grp)
-            placed |= used
-            distinct += len(used)
-        # equal edges hash alike: only edges whose hash recurs can be listed twice
-        hashes = np.fromiter(map(hash, self._edges()), dtype=np.int64, count=edges)
-        hashes.sort()
-        recurs = hashes[1:][hashes[1:] == hashes[:-1]]
-        if recurs.size:
-            clash, seen = set(recurs.tolist()), set()
-            e = next((e for e in self._edges()
-                      if hash(e) in clash and (e in seen or seen.add(e))), None)
-            if e is not None:
-                raise InvalidParams(f"edge {e} appears twice in the family")
-        del hashes, recurs
-        bad = [x for x in placed if type(x) is not int or not 0 <= x < n]
-        if bad:
-            raise InvalidParams(f"a member has the vertex {bad[0]!r}, outside [0,{n})")
-        # the members of a group are disjoint, so a group has fewer distinct
-        # vertices than its members list only where a member repeats one
-        if distinct < listed_vertices:
-            gi, a = next((gi, a) for gi, grp in enumerate(self.groups())
-                         for a, (vertices, _) in enumerate(grp) if len(set(vertices)) < len(vertices))
-            raise InvalidParams(f"group {gi} member {a} repeats a vertex")
-        if not edges:
-            return
-        # the edges are checked in bulk, one block of members at a time, and
-        # scanned one by one only to name a bad one: a Python test per edge
-        # would cost more than the loop above on an S(3,4,82) family
-        top = 0  # the largest vertex of any edge
-        outside = None  # the first edge outside its member, as its message
-        for block in self.member_blocks():
-            listed = [e for *_, es in block for e in es]
-            if not listed:
-                continue
-            flat = np.array(list(itertools.chain.from_iterable(listed)))
-            rows = flat.reshape(-1, r) if flat.dtype.kind == "i" and set(map(len, listed)) == {r} else None
-            if (rows is None or rows[:, 0].min() < 0 or rows[:, -1].max() >= n
-                    or (rows[:, 1:] <= rows[:, :-1]).any()
-                    # numpy reads a bool as 0 or 1, so only an edge holding 0 or 1 can hide one
-                    or any(type(x) is bool for i in np.flatnonzero(rows[:, 0] <= 1).tolist()
-                           for x in listed[i])):
-                e = next((e for e in self._edges()
-                          if not (len(e) == r and all(type(x) is int and 0 <= x < n for x in e)
-                                  and all(map(operator.lt, e, e[1:])))), None)
-                if e is None:  # every edge is well formed, but numpy holds no int64 for some vertex
-                    raise ScaleLimit(f"a vertex of some edge overflows int64 (n = {n})")
-                raise InvalidParams(f"edge {e} is not an increasing {r}-tuple of vertices in [0,{n})")
-            top = max(top, int(rows[:, -1].max()))
-            if outside is None:
-                outside = _edge_outside_member(block, listed, rows)
-        # (member, vertex) keys numbered over the whole family must fit int64
-        span = 1 + max(top, max(placed, default=0))
-        if members * span > np.iinfo(np.int64).max:
-            raise ScaleLimit(f"{members} members with vertices up to {span - 1} "
-                             "overflow int64 keys")
-        if outside is not None:
-            raise InvalidParams(outside)
-
-    def _edges(self) -> Iterator[Edge]:
-        """Every edge of the family, in listing order."""
-        for grp in self.groups():
-            for _, es in grp:
-                yield from es
-
-    def member_blocks(self) -> Iterator[list[tuple[int, int, tuple[int, ...], tuple[Edge, ...]]]]:
-        """Every member as (group, member, vertices, edges), in listing order,
-        in lists of whole groups holding at least EDGE_BLOCK edges; only the
-        last list may hold fewer."""
-        block: list = []
-        size = 0
-        for gi, grp in enumerate(self.groups()):
-            for mi, (vertices, es) in enumerate(grp):
-                block.append((gi, mi, vertices, es))
+                # the members so far are disjoint, so only a repeat leaves used short
+                listed += len(vertices)
+                if len(used) < listed:
+                    raise InvalidParams(f"group {gi} member {a} repeats a vertex")
+                block.append((gi, a, vertices, es))
                 size += len(es)
             if size >= EDGE_BLOCK:
-                yield block
+                _enter_block(block, owner, n, r, k)
                 block, size = [], 0
-        if block:
-            yield block
+        _enter_block(block, owner, n, r, k)
+        owner.setflags(write=False)
+        object.__setattr__(self, "owner", owner)
+
+    def __setstate__(self, state: dict) -> None:
+        # an unpickled array is writeable again
+        self.__dict__.update(state)
+        self.owner.setflags(write=False)
 
     def groups(self) -> Iterator[tuple[tuple[tuple[int, ...], tuple[Edge, ...]], ...]]:
         for grp in self.element_groups:
@@ -620,12 +585,8 @@ class PartitionedFamily:
         for grp in self.leftover_groups:
             yield tuple((e, (e,)) for e in grp)
 
-    def total_edges(self) -> int:
-        return sum(len(edges) for grp in self.groups() for _, edges in grp)
-
     def is_complete(self) -> bool:
-        total = self.total_edges()
-        return capped_comb(self.n, self.r, total) == total
+        return bool((self.owner >= 0).all())
 
     def uniform_element_size(self) -> int | None:
         sizes = {len(el.edges) for grp in self.element_groups for el in grp}

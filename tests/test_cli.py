@@ -294,6 +294,23 @@ def test_family_with_a_bad_member_exits_2_on_every_seed(tmp_path, capsys, member
         assert err.startswith(error) and "Traceback" not in err, err
 
 
+def test_family_with_r_near_n_exits_cleanly(tmp_path, capsys):
+    # C(100, 98) = 4950 r-sets; a colex table of C(v, i+1) over every v < n
+    # and i < r would hold C(99, 49), past int64
+    fam = tmp_path / "f.json"
+    fam.write_text(json.dumps({
+        "n": 100, "r": 98, "k": 2, "steiner_q": None, "leftover_groups": [],
+        "element_groups": [[{"vertices": list(range(98)), "edges": [list(range(98))]},
+                            {"vertices": [98, 99], "edges": []}]],
+    }))
+    for argv in (["estimate", "--family", fam, "--p", "1/2", "--samples", 10, "--seed", 1],
+                 ["build", "--family", fam, "--l", 1, "--seed", 1, "--out", tmp_path / "g.txt"]):
+        start = time.perf_counter()
+        assert run(argv) in (0, 2)
+        assert time.perf_counter() - start < 1.0
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def _experiment_files(out_dir, preset, workers, extra):
     assert run(["experiment", "--preset", preset, "--seed", 42, "--workers", workers,
                 "--out-dir", out_dir, *extra]) == 0
@@ -375,7 +392,8 @@ def test_steiner_scale_limit_exits_2_at_once(tmp_path, capsys):
     assert err.startswith("ScaleLimit: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("header", ["1500 3 0", "1100 2 0", "3000 3 0", "100000 3 0"])
+@pytest.mark.parametrize("header", ["1500 3 0", "1100 2 0", "3000 3 0", "100000 3 0",
+                                    "1000000 499999 0"])
 def test_oversized_count_exits_2_at_once(tmp_path, capsys, header):
     # an empty r-graph whose edge table or widest layer alone is past any
     # budget stops before the moduli, the estimate or any table is built

@@ -112,12 +112,12 @@ def test_window_network_sorts_like_np_sort(r):
     fam = singleton_leftover_family(n, r)
     rng = np.random.default_rng(r)
     perms = np.array([rng.permutation(n) for _ in range(40)], dtype=np.intp)
-    gs, ms = estimators._window_owners(perms, fam)
+    # with k = 1 a member id is its group
+    ids = estimators._window_owners(perms, fam)
     doubled = np.concatenate([perms, perms[:, : r - 1]], axis=1)
     windows = np.sort(np.lib.stride_tricks.sliding_window_view(doubled, r, axis=1), axis=-1)
     windows = [tuple(w) for w in windows.reshape(-1, r).tolist()]
-    assert [fam.leftover_groups[g][0] for g in gs.ravel().tolist()] == windows
-    assert (ms == 0).all()
+    assert [fam.leftover_groups[g][0] for g in ids.ravel().tolist()] == windows
     # without two of its r-sets the family fails on the one met first in row order
     gone = {windows[7 * n + 3], windows[2 * n + 5]}
     first = next(w for w in windows if w in gone)
@@ -275,9 +275,9 @@ def test_pass_matches_per_sample_classify(name, request, monkeypatch):
 
 
 def test_owner_table_scale_limit():
-    fam = PartitionedFamily(n=2000, r=3, k=1, element_groups=(), leftover_groups=())
-    with pytest.raises(ScaleLimit):
-        classify(range(2000), fam)
+    # C(2000, 3) r-sets: the family, and so any classification, is refused
+    with pytest.raises(ScaleLimit, match="owner table over"):
+        PartitionedFamily(n=2000, r=3, k=1, element_groups=(), leftover_groups=())
 
 
 def test_gbar_star_steiner17_zero(fam17):

@@ -4,10 +4,12 @@ import io
 import itertools
 import json
 import math
+import pickle
 import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from hamforge.estimators import mc_fbar_and_bound
 from hamforge.geometry import build_spherical_steiner
 from hamforge.hypercore import capped_comb
 from hamforge.packing import (
+    EDGE_BLOCK,
     FamilyElement,
     Packing,
     PackingParams,
@@ -267,6 +270,22 @@ def test_family_from_design_complete():
     assert fam17.is_complete() and len(fam17.element_groups) == 340
 
 
+def test_owner_table_survives_pickling():
+    # a family reaches pool workers pickled, and numpy unpickles an array as
+    # writeable; each edge's entry is its member id, group * k + member
+    fam = family_from_design(build_spherical_steiner(2, 4), 2, rng=random.Random(1))
+    want = np.full(math.comb(17, 3), -1)
+    for gi, grp in enumerate(fam.groups()):
+        for a, (_, es) in enumerate(grp):
+            for e in es:
+                want[sum(math.comb(c, i + 1) for i, c in enumerate(e))] = gi * fam.k + a
+    back = pickle.loads(pickle.dumps(fam))
+    assert back == fam
+    for table in (fam.owner, back.owner):
+        assert table.dtype == np.int32 and table.tolist() == want.tolist()
+        assert not table.flags.writeable
+
+
 def test_family_outside_partition_regime():
     # S(3,4,10) blocks are each disjoint from only 3 others, far below the
     # |items| >= (degree+1)*k regime; the typed failure is the contract
@@ -314,15 +333,15 @@ def test_family_json_rejects_a_member_that_repeats_a_vertex(groups):
 
 
 def test_family_keys_past_int64_are_a_scale_limit():
-    # each member's vertices are looked up as member * span + vertex
+    # each member's vertices are looked up as member * span + vertex; a family
+    # whose vertices pass int64 has more r-sets than its owner table may hold
     big = 2**62
     element_groups = [[{"vertices": [0, 1, v], "edges": [[0, 1, v]]}] for v in (big, 3)]
     data = {"n": 2**70, "r": 3, "k": 1, "steiner_q": None, "leftover_groups": [],
             "element_groups": element_groups}
-    with pytest.raises(ScaleLimit, match="overflow int64 keys"):
-        PartitionedFamily.from_json_dict(data)
-    data["element_groups"] = element_groups[:1]
-    PartitionedFamily.from_json_dict(data)
+    for groups in (element_groups, element_groups[:1]):
+        with pytest.raises(ScaleLimit, match=rf"owner table over C\({2**70},3\) r-sets exceeds"):
+            PartitionedFamily.from_json_dict({**data, "element_groups": groups})
 
 
 def _k63_leftovers(odd):
@@ -358,10 +377,20 @@ def test_malformed_family_is_rejected_when_made(fields, message):
         PartitionedFamily(**fields)
 
 
+def test_edge_repeated_in_a_later_block_is_rejected():
+    # the repeat comes past EDGE_BLOCK edges, so the first copy is already
+    # in the owner table when the block holding the second is checked
+    groups = tuple((e,) for e in itertools.combinations(range(38), 3))
+    assert len(groups) > EDGE_BLOCK
+    with pytest.raises(InvalidParams, match=r"edge \(0, 1, 2\) appears twice in the family"):
+        PartitionedFamily(n=38, r=3, k=1, element_groups=(), leftover_groups=groups + groups[:1])
+
+
 @pytest.mark.parametrize("vertex", [2**63, 2**64])
 def test_family_edge_vertex_past_int64_is_a_scale_limit(vertex):
-    # numpy holds such an edge as float64 or object, not int64
-    with pytest.raises(ScaleLimit, match="overflows int64"):
+    # numpy holds such an edge as float64 or object, not int64, and its n has
+    # more r-sets than the owner table may hold
+    with pytest.raises(ScaleLimit, match="owner table over"):
         PartitionedFamily(n=2**70, r=3, k=1, element_groups=(), leftover_groups=(((0, 1, vertex),),))
 
 
@@ -415,10 +444,11 @@ def test_singleton_family():
 
 
 def test_is_complete_stops_once_the_binomial_passes_the_edges():
-    # C(10^6, 5*10^5) has about 301,000 digits; computed exactly it took seconds
-    huge = PartitionedFamily(n=10**6, r=5 * 10**5, k=1, element_groups=(), leftover_groups=())
+    # C(10^6, 5*10^5) has about 301,000 digits; computed exactly it took
+    # seconds, and no owner table over it can be made
     start = time.perf_counter()
-    assert not huge.is_complete()
+    with pytest.raises(ScaleLimit, match="owner table over"):
+        PartitionedFamily(n=10**6, r=5 * 10**5, k=1, element_groups=(), leftover_groups=())
     assert time.perf_counter() - start < 0.1
     assert PartitionedFamily(n=2, r=3, k=1, element_groups=(), leftover_groups=()).is_complete()
     for n in range(12):
