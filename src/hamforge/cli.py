@@ -229,6 +229,7 @@ def cmd_audit(args) -> int:
 def cmd_estimate(args) -> int:
     fam = _read_family(args.family)
     spec = randmodels.DensitySpec.parse(args.p)
+    spec.check_family_k(fam.k)
     rng = _stream_rng(args.seed, "estimate")
     report = estimators.mc_fbar_and_bound(
         fam, spec, args.samples, rng, family_label=args.family, seed=args.seed

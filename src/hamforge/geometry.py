@@ -228,10 +228,6 @@ class SteinerSystem:
     s: int
     blocks: tuple[tuple[int, ...], ...]
 
-    @property
-    def block_size(self) -> int:
-        return self.q + 1
-
     def expected_block_count(self) -> int:
         return math.comb(self.n, 3) // math.comb(self.q + 1, 3)
 

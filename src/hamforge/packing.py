@@ -10,8 +10,8 @@ survives trimming, so the red-degree floor is the retry predicate guarding
 the final min-degree property.
 
 The partitioner sees each item only through its vertex set: two items
-conflict when their vertex sets meet. Its effort is fixed by the module
-constants SWAP_BUDGET and RESTARTS; only the shuffle stream is a parameter.
+conflict when their vertex sets meet. It runs plain first-fit passes, as many
+as the module constant RESTARTS allows; only the shuffle stream is a parameter.
 
 A partitioned family is checked when it is made, in one pass that also enters
 each edge's member in its owner table, so a repeated edge is a rank owned twice.
@@ -19,7 +19,6 @@ each edge's member in its owner table, so a repeated edge is a rank owned twice.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -306,86 +305,42 @@ def build_random_packing(
     )
 
 
-def leftover_edges(packing: Packing, k: int | None = None) -> list[Edge]:
+def leftover_edges(packing: Packing) -> list[Edge]:
     """Edges of the complete r-graph not covered by any element, sorted."""
     n, r = packing.n, packing.r
     if too_many_r_sets(n, r):
         raise ScaleLimit(f"listing the leftover edges means enumerating C({n},{r}) r-sets, "
                          f"more than {MAX_R_SETS}")
     covered = packing.covered_edges()
-    out = [e for e in itertools.combinations(range(n), r) if e not in covered]
-    if k is not None and len(out) % k:
-        raise DivisibilityViolation(
-            f"|W| = {len(out)} is not a multiple of k = {k}",
-            residue=len(out) % k,
-        )
-    return out
+    return [e for e in itertools.combinations(range(n), r) if e not in covered]
 
 
 # ---------------------------------------------------------------------------
 # disjoint-group partitioning
 # ---------------------------------------------------------------------------
 
-SWAP_BUDGET = 10_000  # relocations tried per pass
 RESTARTS = 8  # shuffled passes after the degree-ordered one
 
 
-def _bits(key: int) -> Iterator[int]:
-    """The positions of the set bits of `key`, lowest first."""
-    while key:
-        low = key & -key
-        yield low.bit_length() - 1
-        key ^= low
-
-
 def _first_fit(order: list[int], keys: list[int], k: int) -> tuple[list[list[int]], int]:
-    """One pass: place the items in `order` first-fit, with relocation repair.
+    """One pass: put each item of `order` in the first open group it fits.
 
-    Returns the groups and how many items were placed; the pass succeeded
-    when every item was.
+    Returns the groups and how many items were placed before the first one
+    that fits nowhere; the pass succeeded when every item was.
     """
     n_groups = len(keys) // k
     groups: list[list[int]] = [[] for _ in range(n_groups)]
     used = [0] * n_groups  # union of member keys
     open_groups = list(range(n_groups))
-    budget = SWAP_BUDGET
-
-    def add(g: int, idx: int) -> None:
-        groups[g].append(idx)
-        used[g] |= keys[idx]
-        if len(groups[g]) == k:
-            open_groups.remove(g)
-
-    def repair(idx: int) -> bool:
-        """Relocate one member of an open group to make room for idx."""
-        nonlocal budget
-        key = keys[idx]
-        for g in open_groups:
-            if budget <= 0:
-                return False
-            for mi, member in enumerate(groups[g]):
-                rest = groups[g][:mi] + groups[g][mi + 1 :]
-                if any(key & keys[o] for o in rest):
-                    continue
-                target = next(
-                    (h for h in open_groups if h != g and not keys[member] & used[h]),
-                    None,
-                )
-                budget -= 1
-                if target is not None:
-                    groups[g] = rest + [idx]
-                    used[g] = functools.reduce(operator.or_, (keys[o] for o in rest), key)
-                    add(target, member)
-                    return True
-        return False
-
     for placed, idx in enumerate(order):
         key = keys[idx]
         g = next((g for g in open_groups if not key & used[g]), None)
-        if g is not None:
-            add(g, idx)
-        elif not repair(idx):
+        if g is None:
             return groups, placed
+        groups[g].append(idx)
+        used[g] |= key
+        if len(groups[g]) == k:
+            open_groups.remove(g)
     return groups, len(order)
 
 
@@ -399,11 +354,10 @@ def partition_into_disjoint_groups(
     """Partition items into |items|/k groups of k items with pairwise disjoint
     vertex sets, `vertex_key(item)` giving an item's vertex set.
 
-    Greedy first-fit ordered by vertex-sharing degree, with relocation repair
-    (at most SWAP_BUDGET relocations per pass) and RESTARTS shuffled restarts
-    drawn from `rng` (Random(0) when omitted). A vertex set is held as an int
-    with one bit per distinct vertex, and each group keeps the union of its
-    members' bits, so a fit test is one `&`.
+    Plain first-fit passes: one ordered by vertex-sharing degree, then up to
+    RESTARTS in shuffled orders drawn from `rng` (Random(0) when omitted). A
+    vertex set is held as an int with one bit per distinct vertex, and each
+    group keeps the union of its members' bits, so a fit test is one `&`.
     """
     items = list(items)
     if k < 1:
@@ -430,7 +384,7 @@ def partition_into_disjoint_groups(
                 f"cannot fit in {len(bit)} vertices"
             )
     # vertex-sharing degree: the other items met at each vertex
-    degree = [sum(counts[b] - 1 for b in _bits(key)) for key in keys]
+    degree = [sum(counts[bit[v]] - 1 for v in set(vertex_key(it))) for it in items]
 
     # sort keeps equal keys in index order, reversed or not: ties stay in index order
     order = sorted(range(len(items)), key=degree.__getitem__, reverse=True)
@@ -448,7 +402,7 @@ def partition_into_disjoint_groups(
         shuffler.shuffle(order)
     raise PartitionFailed(
         f"no disjoint {k}-grouping of {len(items)} items: best pass placed "
-        f"{best} of {len(items)} items ({RESTARTS} restarts, {SWAP_BUDGET} swaps each)"
+        f"{best} of {len(items)} items ({RESTARTS} restarts)"
     )
 
 
@@ -686,7 +640,7 @@ def family_from_packing(packing: Packing, *, rng: Random | None = None) -> Parti
         for vs, es in zip(packing.vertex_sets, packing.edge_sets)
     ]
     element_groups = partition_into_disjoint_groups(elements, k, lambda el: el.vertices, rng=rng)
-    leftovers = leftover_edges(packing, k)
+    leftovers = leftover_edges(packing)
     leftover_groups = partition_into_disjoint_groups(leftovers, k, lambda e: e, rng=rng)
     fam = PartitionedFamily(
         n=packing.n, r=packing.r, k=k,

@@ -43,6 +43,11 @@ class DensitySpec:
         g = math.gcd(num, den) or 1  # 0/0: let __post_init__ reject it
         return cls(num // g, den // g)
 
+    def check_family_k(self, k: int) -> None:
+        """Raise InvalidParams unless den is k: a build picks num of each group's k members."""
+        if self.den != k:
+            raise InvalidParams(f"density denominator {self.den} must equal the family's k = {k}")
+
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
 
@@ -107,10 +112,7 @@ def build_quasirandom_from_partition(
     On a family that partitions all of K_n^r into equal-size elements plus
     single leftover edges, the output density is exactly num/den.
     """
-    if spec.den != family.k:
-        raise InvalidParams(
-            f"density denominator {spec.den} must equal the family's k = {family.k}"
-        )
+    spec.check_family_k(family.k)
     chosen = itertools.chain.from_iterable(
         grp[idx][1] for grp in family.groups() for idx in rng.sample(range(family.k), spec.num))
     # a family's edges were checked as increasing r-tuples in [0, n) when it was made

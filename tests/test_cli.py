@@ -79,6 +79,21 @@ def test_family_build_audit_estimate(tmp_path, capsys):
     assert header.startswith("family,n,r,p,samples,bad_mean")
 
 
+def test_estimate_density_must_match_k(tmp_path, capsys):
+    design = tmp_path / "d.txt"
+    fam = tmp_path / "fam.json"
+    report = tmp_path / "est.json"
+    run(["steiner", "--q", 2, "--s", 4, "--out", design])
+    run(["family", "--design", design, "--k", 2, "--seed", 1, "--out", fam])
+    capsys.readouterr()
+    assert run(["estimate", "--family", fam, "--p", "1/3", "--samples", 200,
+                "--seed", 1, "--out", report]) == 2
+    assert capsys.readouterr().err == (
+        "InvalidParams: density denominator 3 must equal the family's k = 2\n"
+    )
+    assert not report.exists()
+
+
 def test_pack_subcommand(tmp_path, capsys):
     out = tmp_path / "p.txt"
     assert run(["pack", "--n", 60, "--r", 3, "--k", 3, "--q", 8, "--K", 30,
