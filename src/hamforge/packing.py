@@ -12,6 +12,8 @@ the final min-degree property.
 The partitioner sees each item only through its vertex set: two items
 conflict when their vertex sets meet. It runs plain first-fit passes, as many
 as the module constant RESTARTS allows; only the shuffle stream is a parameter.
+A pass keeps, for each vertex, an int with one bit per open group holding it,
+so an item's fit test is a few int operations however many groups are open.
 
 A partitioned family is checked when it is made, in one pass that also enters
 each edge's member in its owner table, so a repeated edge is a rank owned twice.
@@ -322,25 +324,59 @@ def leftover_edges(packing: Packing) -> list[Edge]:
 RESTARTS = 8  # shuffled passes after the degree-ordered one
 
 
-def _first_fit(order: list[int], keys: list[int], k: int) -> tuple[list[list[int]], int]:
+def _first_fit(order: list[int], items: Sequence, vertex_key: Callable[..., Iterable[int]],
+               k: int) -> tuple[list[list[int]], int]:
     """One pass: put each item of `order` in the first open group it fits.
+
+    Groups fill in index order, so an item that fits no open non-empty group
+    goes to the first empty one, `len(groups)`. Bit g - base of `open_` marks
+    the open non-empty group g, and bit g - base of holds[v] an open group
+    holding the vertex v, so an item fits the groups in
+    `open_ & ~(OR of holds[v] over its vertices)`. Once every group below
+    base + low is closed, where low is at least 64 and at least the number of
+    held vertices, every bit shifts down by low: the ints stay about as wide
+    as the span of open groups, and a shift costs no more than the groups it
+    drops.
 
     Returns the groups and how many items were placed before the first one
     that fits nowhere; the pass succeeded when every item was.
     """
-    n_groups = len(keys) // k
-    groups: list[list[int]] = [[] for _ in range(n_groups)]
-    used = [0] * n_groups  # union of member keys
-    open_groups = list(range(n_groups))
+    n_groups = len(items) // k
+    groups: list[list[int]] = []
+    holds: dict = {}
+    open_ = base = 0
     for placed, idx in enumerate(order):
-        key = keys[idx]
-        g = next((g for g in open_groups if not key & used[g]), None)
-        if g is None:
+        vertices = tuple(vertex_key(items[idx]))
+        taken = 0
+        for v in vertices:
+            taken |= holds.get(v, 0)
+        fits = open_ & ~taken
+        if fits:
+            bit = fits & -fits
+            grp = groups[base + bit.bit_length() - 1]
+        elif len(groups) < n_groups:
+            bit = 1 << (len(groups) - base)
+            open_ |= bit
+            grp = []
+            groups.append(grp)
+        else:
             return groups, placed
-        groups[g].append(idx)
-        used[g] |= key
-        if len(groups[g]) == k:
-            open_groups.remove(g)
+        grp.append(idx)
+        if len(grp) < k:
+            for v in vertices:
+                holds[v] = holds.get(v, 0) | bit
+            continue
+        # the group closes: clear its bit from the vertices its other members hold
+        open_ ^= bit
+        for i in grp[:-1]:
+            for v in vertex_key(items[i]):
+                if rest := holds.pop(v, 0) & ~bit:
+                    holds[v] = rest
+        low = (open_ & -open_).bit_length() - 1 if open_ else len(groups) - base
+        if low >= 64 and low >= len(holds):
+            open_ >>= low
+            base += low
+            holds = {v: h >> low for v, h in holds.items()}
     return groups, len(order)
 
 
@@ -356,8 +392,9 @@ def partition_into_disjoint_groups(
 
     Plain first-fit passes: one ordered by vertex-sharing degree, then up to
     RESTARTS in shuffled orders drawn from `rng` (Random(0) when omitted). A
-    vertex set is held as an int with one bit per distinct vertex, and each
-    group keeps the union of its members' bits, so a fit test is one `&`.
+    pass finds the groups an item fits with a few int operations: each vertex
+    keeps one bit per open group that holds it (see `_first_fit`). Each
+    result of `vertex_key` is read once, so it may return an iterator.
     """
     items = list(items)
     if k < 1:
@@ -369,22 +406,20 @@ def partition_into_disjoint_groups(
     if k == 1:
         return [[it] for it in items]
 
-    bit: dict = {}  # vertex -> its bit, in order of first appearance
-    counts: Counter = Counter()  # bit -> items holding its vertex
-    keys: list[int] = []
-    for it in items:
-        bits = {bit.setdefault(v, len(bit)) for v in vertex_key(it)}
-        counts.update(bits)
-        keys.append(sum(1 << b for b in bits))
-    if keys:
-        smallest = min(key.bit_count() for key in keys)
-        if k * smallest > len(bit):
-            raise InvalidParams(
-                f"{k} disjoint items of at least {smallest} vertices each "
-                f"cannot fit in {len(bit)} vertices"
-            )
+    # vertex -> items holding it
+    counts = Counter(itertools.chain.from_iterable(set(vertex_key(it)) for it in items))
     # vertex-sharing degree: the other items met at each vertex
-    degree = [sum(counts[bit[v]] - 1 for v in set(vertex_key(it))) for it in items]
+    degree = []
+    smallest = math.inf
+    for it in items:
+        vertices = set(vertex_key(it))
+        smallest = min(smallest, len(vertices))
+        degree.append(sum(map(counts.__getitem__, vertices)) - len(vertices))
+    if items and k * smallest > len(counts):
+        raise InvalidParams(
+            f"{k} disjoint items of at least {smallest} vertices each "
+            f"cannot fit in {len(counts)} vertices"
+        )
 
     # sort keeps equal keys in index order, reversed or not: ties stay in index order
     order = sorted(range(len(items)), key=degree.__getitem__, reverse=True)
@@ -392,7 +427,7 @@ def partition_into_disjoint_groups(
     shuffler = rng or Random(0)
     best = 0
     for _ in range(RESTARTS + 1):
-        groups, placed = _first_fit(order, keys, k)
+        groups, placed = _first_fit(order, items, vertex_key, k)
         if placed == len(items):
             for group in groups:
                 group[:] = [items[i] for i in group]

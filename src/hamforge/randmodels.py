@@ -126,7 +126,7 @@ def build_quasirandom_from_partition(
     return graph
 
 
-# bytes of boolean temporaries one block of audited subsets may hold
+# bytes of temporaries one block of audited edges may hold
 AUDIT_BLOCK_BYTES = 1 << 20
 
 
@@ -212,22 +212,32 @@ def audit_quasirandomness(
 
 
 def _inside_counts(graph: Hypergraph, subsets: Sequence[Sequence[int]]) -> list[int]:
-    """Edges of `graph` inside each vertex subset, counted over blocks of
-    subsets sized so their boolean temporaries fit AUDIT_BLOCK_BYTES."""
+    """Edges of `graph` inside each vertex subset, 64 subsets to a word.
+
+    Subset i is bit i % 64 of word i // 64 in the rows of its vertices, so
+    the AND of an edge's r rows holds the subsets the edge lies inside. Read
+    as little-endian bytes and unpacked, bit b of byte j of word w is subset
+    64w + 8j + b, so a column sum over the edges counts each subset. Edges go
+    in blocks whose temporaries, 80 bytes per edge and word, fit
+    AUDIT_BLOCK_BYTES.
+    """
+    if not subsets:
+        return []
     edges = np.fromiter(itertools.chain.from_iterable(graph.edges), dtype=np.intp,
                         count=graph.r * graph.edge_count).reshape(-1, graph.r)
-    rows = max(1, AUDIT_BLOCK_BYTES // (2 * len(edges) + graph.n))
-    counts: list[int] = []
-    for start in range(0, len(subsets), rows):
-        block = subsets[start : start + rows]
-        inside = np.zeros((len(block), graph.n), dtype=bool)
-        for i, sub in enumerate(block):
-            inside[i, list(sub)] = True
-        # a gather into one reused buffer: numpy's fancy indexing costs more per
-        # call, and these blocks are small
-        hit = np.take(inside, edges[:, 0], axis=1)
-        column = np.empty_like(hit)
+    words = -(-len(subsets) // 64)
+    rows = np.zeros((graph.n, words), dtype=np.uint64)
+    for i, sub in enumerate(subsets):
+        rows[list(sub), i >> 6] |= np.uint64(1 << (i & 63))
+    counts = np.zeros(64 * words, dtype=np.int64)
+    step = max(1, AUDIT_BLOCK_BYTES // (80 * words))
+    for start in range(0, len(edges), step):
+        block = edges[start : start + step]
+        hit = rows[block[:, 0]]
         for j in range(1, graph.r):
-            hit &= np.take(inside, edges[:, j], axis=1, out=column)
-        counts += np.count_nonzero(hit, axis=1).tolist()
-    return counts
+            hit &= rows[block[:, j]]
+        bits = np.unpackbits(hit.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little")
+        # a block holds fewer than 2**31 edges; bits goes before the next block's
+        counts += np.add.reduce(bits, axis=0, dtype=np.int32)
+        del bits
+    return counts[: len(subsets)].tolist()

@@ -33,6 +33,7 @@ from hamforge.packing import (
     Packing,
     PackingParams,
     PartitionedFamily,
+    _first_fit,
     build_random_packing,
     family_from_design,
     family_from_packing,
@@ -277,6 +278,64 @@ def test_partition_property(keys, k, seed):
         assert len(g) == k
         for a, b in itertools.combinations(g, 2):
             assert a[1].isdisjoint(b[1])
+
+
+def _linear_first_fit(order, vertex_sets, k):
+    """Oracle: the linear scan the bitset pass replaced. Each item goes to the
+    first open group whose members' vertices miss its own."""
+    n_groups = len(vertex_sets) // k
+    groups = [[] for _ in range(n_groups)]
+    used = [set() for _ in range(n_groups)]
+    open_groups = list(range(n_groups))
+    for placed, idx in enumerate(order):
+        g = next((g for g in open_groups if used[g].isdisjoint(vertex_sets[idx])), None)
+        if g is None:
+            return [grp for grp in groups if grp], placed
+        groups[g].append(idx)
+        used[g].update(vertex_sets[idx])
+        if len(groups[g]) == k:
+            open_groups.remove(g)
+    return groups, len(order)
+
+
+@st.composite
+def _first_fit_instances(draw):
+    k = draw(st.sampled_from([2, 3, 4]))
+    # up to 400 groups: long passes close far more than 64 groups, so the
+    # bits shift down many times
+    n_groups = draw(st.integers(0, 400))
+    n_vertices = draw(st.integers(1, 80))
+    width = draw(st.integers(0, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    # drawn with replacement: a vertex may repeat within an item
+    items = [tuple(rng.choices(range(n_vertices), k=rng.randint(0, width)))
+             for _ in range(n_groups * k)]
+    # equal vertex sets: some items copy an earlier one
+    for i in range(1, len(items)):
+        if rng.random() < 0.1:
+            items[i] = items[rng.randrange(i)]
+    order = list(range(len(items)))
+    if draw(st.booleans()):
+        rng.shuffle(order)
+    return items, k, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(_first_fit_instances())
+def test_first_fit_matches_the_linear_scan(instance):
+    items, k, order = instance
+    groups, placed = _first_fit(order, items, lambda it: it, k)
+    # the placed count is what PartitionFailed reports as the best pass
+    assert (groups, placed) == _linear_first_fit(order, items, k)
+
+
+def test_partition_reads_an_iterator_vertex_key_once_per_use():
+    blocks = list(build_spherical_steiner(2, 4).blocks)
+    assert (partition_into_disjoint_groups(blocks, 2, lambda b: iter(b), rng=random.Random(5))
+            == partition_into_disjoint_groups(blocks, 2, lambda b: b, rng=random.Random(5)))
+    star = [(0, i) for i in range(1, 7)]
+    with pytest.raises(PartitionFailed, match="best pass placed 3 of 6 items"):
+        partition_into_disjoint_groups(star, 2, lambda e: iter(e))
 
 
 def test_family_from_design_complete():

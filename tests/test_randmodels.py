@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -183,8 +184,9 @@ def test_audit_counts_match_issuperset_across_blocks(monkeypatch):
     subsets = [tuple(sorted(rng.sample(range(12), 6))) for _ in range(20)]
     subsets += [tuple(range(6)), tuple(range(6, 12))]
     want = [sum(1 for e in g.edges if set(sub).issuperset(e)) for sub in subsets]
-    # seven subsets per block: the 22 subsets span four blocks
-    monkeypatch.setattr(randmodels, "AUDIT_BLOCK_BYTES", 7 * (2 * g.edge_count + g.n))
+    # one word of subsets, 80 bytes per edge: forty edges per block, so the
+    # 110 edges span three blocks
+    monkeypatch.setattr(randmodels, "AUDIT_BLOCK_BYTES", 40 * 80)
     assert randmodels._inside_counts(g, subsets) == want
     report = audit_quasirandomness(
         g, epsilon=0.1, samples=20, rng=random.Random(5), extra_subsets=subsets[20:]
@@ -193,6 +195,34 @@ def test_audit_counts_match_issuperset_across_blocks(monkeypatch):
     assert report.samples == 22
     assert report.max_abs_deviation == max(devs)
     assert report.violations == sum(d >= 0.1 for d in devs)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 129])
+def test_audit_counts_match_issuperset_at_word_edges(r, count):
+    # subsets fill the bits of 64-bit words: a partial word, a full one, and
+    # one bit past one and two words
+    g = sample_gnm(13, r, math.comb(13, r) // 2, random.Random(r))
+    rng = random.Random(count)
+    subsets = [tuple(sorted(rng.sample(range(13), 6))) for _ in range(count)]
+    want = [sum(1 for e in g.edges if set(sub).issuperset(e)) for sub in subsets]
+    assert randmodels._inside_counts(g, subsets) == want
+
+
+def test_audit_temporaries_stay_within_the_block_budget(monkeypatch):
+    g = sample_gnm(40, 3, 4940, random.Random(1))
+    rng = random.Random(2)
+    subsets = [tuple(sorted(rng.sample(range(40), 20))) for _ in range(200)]
+    monkeypatch.setattr(randmodels, "AUDIT_BLOCK_BYTES", 1 << 16)
+    tracemalloc.start()
+    try:
+        randmodels._inside_counts(g, subsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the edge table, one block's temporaries and a few small arrays;
+    # all edges at once would hold 80 bytes per edge and word, 1.5 MiB
+    assert peak - 8 * g.r * g.edge_count <= (1 << 16) + (1 << 16), peak
 
 
 def test_audit_report_json(steiner_family):
