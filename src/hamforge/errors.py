@@ -46,11 +46,13 @@ class InfeasibleParams(HamforgeError):
 
 
 class RetryBudgetExhausted(HamforgeError):
-    """Randomized construction failed every attempt in its retry budget."""
+    """Randomized construction failed every attempt in its retry budget;
+    `shortfall` says how close the nearest attempt came, when known."""
 
-    def __init__(self, message, failure_counts=None):
+    def __init__(self, message, failure_counts=None, shortfall=None):
         super().__init__(message)
         self.failure_counts = dict(failure_counts or {})
+        self.shortfall = shortfall
 
 
 class PartitionFailed(HamforgeError):

@@ -136,27 +136,12 @@ class Estimate:
 
 
 def _permutation_rows(n: int, rows: int, rng: Random) -> np.ndarray:
-    """A (rows, n) array of uniform permutations: row t is the list that the
-    t-th `rng.shuffle(list(range(n)))` would leave.
-
-    Each row takes the steps of Durstenfeld's shuffle as `Random.shuffle`
-    does: for i = n-1 ... 1, j = getrandbits((i+1).bit_length()), drawn again
-    while j > i, then x[i] and x[j] swap. The generator reads the same words
-    in the same order and ends in the same state.
-    """
-    draw = rng.getrandbits
-    steps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
-    identity = list(range(n))
-    out = []
-    for _ in range(rows):
-        x = identity.copy()
-        for i, k in steps:
-            j = draw(k)
-            while j > i:
-                j = draw(k)
-            x[i], x[j] = x[j], x[i]
-        out.append(x)
-    return np.array(out, dtype=np.intp)
+    """A (rows, n) array of uniform permutations: each row argsorts n
+    64-bit keys read little-endian from `rng.randbytes(8 * rows * n)`. Two
+    keys of a row tie with probability below C(n, 2) 2^-64; a row without a
+    tie is an exactly uniform permutation, whatever the sort algorithm."""
+    keys = np.frombuffer(rng.randbytes(8 * rows * n), "<u8").reshape(rows, n)
+    return keys.argsort(axis=1)
 
 
 def gbar_star_formula(family: PartitionedFamily) -> float:

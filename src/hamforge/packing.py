@@ -236,13 +236,17 @@ def build_random_packing(
     Direct mode exists precisely where those asymptotic thresholds cannot
     hold, so there the gates are trim feasibility plus the five-property
     validator on the trimmed elements (the claims' role, checked directly).
-    Every successful attempt is validator-approved in both modes.
+    Every successful attempt is validator-approved in both modes. When every
+    attempt fails, RetryBudgetExhausted carries the smallest claim-3
+    shortfall max(0, max red - z) over the attempts that reached the trim, or
+    None when none did.
     """
     if retries < 1:
         raise InvalidParams(f"retries must be >= 1, got {retries}")
     n, r, q, K, M, k = params.n, params.r, params.q, params.K, params.M, params.k
     failures: dict[str, int] = {"claim1_red_degree": 0, "claim2_edge_cap": 0, "claim3_trim": 0}
     cap = math.comb(q, r) / 3
+    shortfall = None
 
     for attempt in range(1, retries + 1):
         vertex_sets = [tuple(sorted(rng.sample(range(n), q))) for _ in range(K)]
@@ -280,7 +284,9 @@ def build_random_packing(
             continue
 
         z = min(totals)
-        if max(len(red[i]) for i in range(K)) > z:
+        over = max(0, max(len(red[i]) for i in range(K)) - z)
+        shortfall = over if shortfall is None else min(shortfall, over)
+        if over:
             failures["claim3_trim"] += 1
             continue
 
@@ -301,9 +307,12 @@ def build_random_packing(
             continue
         return packing, BuildStats(attempts=attempt, failure_counts=dict(failures))
 
+    closest = ("no attempt reached the claim-3 trim" if shortfall is None
+               else f"smallest claim-3 shortfall max(red) - z = {shortfall}")
     raise RetryBudgetExhausted(
-        f"no valid packing in {retries} attempts; failures: {failures}",
+        f"no valid packing in {retries} attempts; {closest}; failures: {failures}",
         failure_counts=failures,
+        shortfall=shortfall,
     )
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import multiprocessing
+import re
 import time
 
 import pytest
@@ -388,6 +389,20 @@ def test_pack_tau_must_be_positive_and_finite(tmp_path, capsys, tau):
     assert run([*PACK_ARGS, "--tau", tau, "--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"InvalidParams: tau must be positive and finite, got {float(tau)}\n"
+    assert not out.exists()
+
+
+def test_pack_out_of_retries_names_its_shortfall(tmp_path, capsys):
+    # criterion 9's parameters: every attempt fails the trim, and the one-line
+    # message says by how many edges the nearest one missed
+    out = tmp_path / "p.txt"
+    assert run(["pack", "--n", 60, "--r", 3, "--k", 3, "--q", 8, "--K", 210, "--M", 3,
+                "--tau", 2, "--retries", 5, "--seed", 0, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("RetryBudgetExhausted: no valid packing in 5")
+    shortfall = re.search(r"smallest claim-3 shortfall max\(red\) - z = (\d+);", err)
+    assert shortfall and int(shortfall.group(1)) >= 1
+    assert "'claim3_trim': 5" in err
     assert not out.exists()
 
 

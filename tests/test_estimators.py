@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,31 +81,77 @@ def classify_oracle(perm, fam):
     return ("good", len(touched), g)
 
 
-def _shuffled(n, rng):
-    """The pass's reference stream: one `Random.shuffle` per sample."""
-    order = list(range(n))
-    rng.shuffle(order)
-    return tuple(order)
+def _key_rows(n, rows, rng):
+    """The pass's reference stream, without numpy: one `randbytes` read per
+    block, cut into 8-byte little-endian keys; each row lists its positions
+    in key order."""
+    data = rng.randbytes(8 * rows * n)
+    keys = [int.from_bytes(data[8 * i : 8 * i + 8], "little") for i in range(rows * n)]
+    return [
+        tuple(sorted(range(n), key=lambda j: keys[t * n + j])) for t in range(rows)
+    ]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 17, 33, 64, 65, 82, 129])
 def test_permutation_rows_follow_the_shuffle_stream(n):
-    # every bit-length edge of i+1: a draw of the wrong width or a wrong
-    # rejection test reads other words and leaves another state
+    # a read of the wrong length, the wrong byte order or the wrong key width
+    # gives other rows or leaves another state
     for seed in range(5):
         rng, ref = random.Random(seed), random.Random(seed)
         rows = estimators._permutation_rows(n, 7, rng)
         assert rows.dtype == np.intp and rows.shape == (7, n)
-        assert [tuple(row) for row in rows.tolist()] == [_shuffled(n, ref) for _ in range(7)]
+        assert [tuple(row) for row in rows.tolist()] == _key_rows(n, 7, ref)
         assert rng.getstate() == ref.getstate()
 
 
 def test_pass_leaves_the_stream_where_per_sample_shuffles_do(fam17):
+    # one read per block of the pass: a full MC_BLOCK, then the 5 left over
     rng, ref = random.Random(7), random.Random(7)
     mc_fbar_and_bound(fam17, DensitySpec(1, 2), MC_BLOCK + 5, rng)
-    for _ in range(MC_BLOCK + 5):
-        _shuffled(fam17.n, ref)
+    for rows in (MC_BLOCK, 5):
+        ref.randbytes(8 * rows * fam17.n)
     assert rng.getstate() == ref.getstate()
+
+
+def test_permutation_rows_are_uniform():
+    # seed and threshold fixed before the first run: the chi-square over the
+    # 24 permutations of 4 points stays below 49.73, the df = 23, p = 0.001
+    # critical value
+    rows = estimators._permutation_rows(4, 24_000, random.Random(0))
+    counts = {}
+    for row in map(tuple, rows.tolist()):
+        counts[row] = counts.get(row, 0) + 1
+    assert set(counts) == set(itertools.permutations(range(4)))
+    expected = 24_000 / 24
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chi2 < 49.73
+    for n in (82, 129):
+        rows = estimators._permutation_rows(n, 300, random.Random(n))
+        assert (np.sort(rows, axis=1) == np.arange(n)).all()
+
+
+def test_the_pass_does_not_import_numpy_random():
+    # importing numpy.random raised ru_maxrss by 5.5 MiB after
+    # `import hamforge.cli` (30.4 -> 35.9 MiB), past the benchmark's 5% peak
+    # memory bound on family-estimate
+    code = (
+        "import itertools, random, sys\n"
+        "import hamforge.cli\n"
+        "from hamforge.estimators import mc_fbar_and_bound\n"
+        "from hamforge.packing import PartitionedFamily\n"
+        "from hamforge.randmodels import DensitySpec\n"
+        "groups = tuple((e,) for e in itertools.combinations(range(8), 3))\n"
+        "fam = PartitionedFamily(n=8, r=3, k=1, element_groups=(), leftover_groups=groups)\n"
+        "mc_fbar_and_bound(fam, DensitySpec(1, 2), 300, random.Random(1))\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
@@ -237,7 +287,7 @@ def test_incomplete_family_raises_through_the_pass():
     el = FamilyElement(vertices=(0, 1, 2), edges=((0, 1, 2),))
     fam = PartitionedFamily(n=6, r=3, k=1, element_groups=((el,),), leftover_groups=())
     # the first window of the first sample that the family cannot locate
-    perm = _shuffled(6, random.Random(4))
+    perm = tuple(estimators._permutation_rows(6, 5, random.Random(4))[0].tolist())
     doubled = perm + perm[:2]
     want = next(w for w in (tuple(sorted(doubled[i : i + 3])) for i in range(6)) if w != (0, 1, 2))
     with pytest.raises(FamilyIncomplete, match=f"window {re.escape(str(want))} is not"):
@@ -247,13 +297,17 @@ def test_incomplete_family_raises_through_the_pass():
 @pytest.mark.parametrize("name", ["fam17", "fam10", "fam40", "singleton"])
 def test_pass_matches_per_sample_classify(name, request, monkeypatch):
     # the block pass feeds Estimate.of the same lists, in sample order, as
-    # classifying each permutation of the replayed stream one at a time
+    # classifying each row of the twin stream's blocks one at a time
     fam = singleton_leftover_family(8, 3) if name == "singleton" else request.getfixturevalue(name)
     samples = 2 * MC_BLOCK + 37
     stream = random.Random(41)
+    perms = []
+    for start in range(0, samples, MC_BLOCK):
+        rows = estimators._permutation_rows(fam.n, min(MC_BLOCK, samples - start), stream)
+        perms += [tuple(row) for row in rows.tolist()]
     want = {"bad": [], "f": [], "g": [], "g_all": []}
-    for _ in range(samples):
-        c = classify(_shuffled(fam.n, stream), fam)
+    for perm in perms:
+        c = classify(perm, fam)
         want["g_all"].append(float(c.g_value))
         want["bad"].append(0.0 if c.is_good else 1.0)
         if c.is_good:

@@ -256,8 +256,8 @@ def test_estimate_reports_are_pinned():
         for fam in (fam17, fam40)
     ]
     assert digests == [
-        "64fbee4975d8a62004e6477e7185bd90d7b604cebed828e3011ed74a54e47f02",
-        "9c20d29e6515ebdece35bc850eabffb2cc61e3b1dd6b44641131c1d760f5d7c9",
+        "a495ffcb3b3ab90ff1ff446b41cd017282cb46a7a4f24de772b7b733a3297776",
+        "615f91461b97c4ca9059f30b0d973fd08e16d8e562e34093020077cee9988977",
     ]
 
 
